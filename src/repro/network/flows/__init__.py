@@ -26,13 +26,11 @@ head-to-head study.
 
 from repro.network.flows.events import Event, EventQueue, SimClock
 from repro.network.flows.fabric import (
-    Cell,
     ConcentratorFabric,
     FabricStage,
     FatTreeFabric,
     KnockoutFabric,
     RotorFabric,
-    StageOutcome,
     build_fabric,
     fabric_names,
 )
@@ -49,7 +47,6 @@ from repro.network.flows.workload import (
 )
 
 __all__ = [
-    "Cell",
     "CompareReport",
     "ConcentratorFabric",
     "Event",
@@ -63,7 +60,6 @@ __all__ = [
     "RotorFabric",
     "SimClock",
     "SizeDistribution",
-    "StageOutcome",
     "WorkloadSpec",
     "build_fabric",
     "fabric_names",

@@ -17,7 +17,6 @@ import pytest
 from repro import obs
 from repro.errors import ConfigurationError
 from repro.network.flows import (
-    Cell,
     ConcentratorFabric,
     EventQueue,
     FatTreeFabric,
@@ -34,6 +33,14 @@ from repro.network.flows import (
     run_fabric,
     size_distribution,
     size_distribution_names,
+)
+from repro.network.flows.fabric import (
+    ABSORBED,
+    BLOCKED,
+    DELIVERED,
+    FAULTED,
+    IDLE,
+    REJECTED,
 )
 from repro.switches.perfect import PerfectConcentrator
 
@@ -145,33 +152,46 @@ class TestWorkload:
             one_shot_flows([1, 1], dsts=[0])
 
 
-def _cells(present: dict[int, tuple[int, int]], n: int) -> list[Cell | None]:
-    """Ingress slots from {src: (flow_id, dst)} (all cell index 0)."""
-    slots: list[Cell | None] = [None] * n
-    for src, (fid, dst) in present.items():
-        slots[src] = Cell(flow_id=fid, src=src, dst=dst, index=0)
-    return slots
+def _slots(present: dict[int, tuple[int, int]], n: int):
+    """Per-port flow-id and destination arrays from {src: (flow_id, dst)}."""
+    flow = np.full(n, -1, dtype=np.int64)
+    dst = np.full(n, -1, dtype=np.int64)
+    for src, (fid, d) in present.items():
+        flow[src], dst[src] = fid, d
+    return flow, dst
+
+
+def _count(fate: np.ndarray, which: int) -> int:
+    return int(np.count_nonzero(fate == which))
 
 
 class TestConcentratorFabric:
     def test_under_capacity_all_delivered(self):
         stage = ConcentratorFabric(PerfectConcentrator(8, 4))
-        outcome = stage.step(_cells({0: (0, 0), 3: (1, 3), 7: (2, 7)}, 8))
-        assert len(outcome.delivered) == 3 and not outcome.rejected
+        fate, surfaced = stage.step(*_slots({0: (0, 0), 3: (1, 3), 7: (2, 7)}, 8))
+        assert fate.dtype == np.int8 and not surfaced
+        assert fate.tolist() == [
+            DELIVERED, IDLE, IDLE, DELIVERED, IDLE, IDLE, IDLE, DELIVERED
+        ]
 
     def test_over_capacity_rejects_the_excess(self):
         stage = ConcentratorFabric(PerfectConcentrator(8, 4))
-        slots = _cells({i: (i, i) for i in range(8)}, 8)
-        outcome = stage.step(slots)
-        assert len(outcome.delivered) == 4
-        assert len(outcome.rejected) == 4
-        assert outcome.faulted == 0
+        fate, _ = stage.step(*_slots({i: (i, i) for i in range(8)}, 8))
+        assert _count(fate, DELIVERED) == 4
+        assert _count(fate, REJECTED) == 4
+        assert _count(fate, FAULTED) == 0
 
-    def test_slot_src_mismatch_raises(self):
+    def test_wrong_slot_count_raises(self):
         stage = ConcentratorFabric(PerfectConcentrator(4, 2))
-        bad = [None, Cell(flow_id=0, src=0, dst=1, index=0), None, None]
+        flow, dst = _slots({1: (0, 1)}, 4)
         with pytest.raises(ConfigurationError):
-            stage.step(bad)
+            stage.step(flow[:3], dst[:3])
+
+    def test_bad_destination_raises(self):
+        stage = ConcentratorFabric(PerfectConcentrator(4, 2))
+        for present in ({1: (0, 4)}, {1: (0, -1)}):
+            with pytest.raises(ConfigurationError):
+                stage.step(*_slots(present, 4))
 
     def test_describe_names_the_switch(self):
         stage = ConcentratorFabric(PerfectConcentrator(4, 2))
@@ -182,26 +202,29 @@ class TestConcentratorFabric:
 class TestKnockoutFabric:
     def test_accepted_cells_queue_then_drain(self):
         stage = KnockoutFabric(4, lanes=2, fifo_depth=4)
-        first = stage.step(_cells({0: (0, 2), 1: (1, 2)}, 4))
+        fate, surfaced = stage.step(*_slots({0: (0, 2), 1: (1, 2)}, 4))
         # Both contenders fit the two lanes; the FIFO transmits one.
-        assert len(first.delivered) == 1 and not first.rejected
+        assert fate.tolist()[:2] == [DELIVERED, ABSORBED] and not surfaced
         assert stage.in_flight() == 1
-        second = stage.step([None] * 4)
-        assert len(second.delivered) == 1 and stage.in_flight() == 0
+        fate, surfaced = stage.step(*_slots({}, 4))
+        assert surfaced == [1] and stage.in_flight() == 0
+        assert fate.tolist() == [IDLE] * 4
 
     def test_contention_beyond_lanes_knocks_out(self):
         stage = KnockoutFabric(4, lanes=1, fifo_depth=8)
-        outcome = stage.step(_cells({0: (0, 3), 1: (1, 3), 2: (2, 3)}, 4))
-        assert len(outcome.rejected) == 2
-        assert len(outcome.delivered) + stage.in_flight() == 1
+        fate, _ = stage.step(*_slots({0: (0, 3), 1: (1, 3), 2: (2, 3)}, 4))
+        assert _count(fate, REJECTED) == 2
+        assert _count(fate, DELIVERED) + stage.in_flight() == 1
 
     def test_full_fifo_overflows(self):
-        stage = KnockoutFabric(4, lanes=1, fifo_depth=1)
-        stage._fifos[2].append(Cell(flow_id=9, src=0, dst=2, index=0))
-        outcome = stage.step(_cells({1: (0, 2)}, 4))
-        # The drain frees a slot only after admission, so the arrival
-        # bounces off the still-full FIFO.
-        assert len(outcome.rejected) == 1 and len(outcome.delivered) == 1
+        stage = KnockoutFabric(4, lanes=2, fifo_depth=2)
+        stage.step(*_slots({0: (0, 2), 1: (1, 2)}, 4))
+        assert stage.in_flight() == 1
+        fate, surfaced = stage.step(*_slots({0: (5, 2), 1: (6, 2)}, 4))
+        # The drain frees a slot only after admission, so the second
+        # arrival bounces off the then-full FIFO.
+        assert fate.tolist()[:2] == [ABSORBED, REJECTED]
+        assert surfaced == [1] and stage.in_flight() == 1
 
     def test_bad_params_raise(self):
         for kwargs in ({"lanes": 0}, {"fifo_depth": 0}):
@@ -213,26 +236,26 @@ class TestRotorFabric:
     def test_only_the_wired_destination_delivers(self):
         stage = RotorFabric(4)
         # Cycle 0 wires i -> i+1.
-        outcome = stage.step(_cells({0: (0, 1), 1: (1, 3)}, 4))
-        assert [c.flow_id for c in outcome.delivered] == [0]
-        assert [c.flow_id for c in outcome.blocked] == [1]
+        fate, _ = stage.step(*_slots({0: (0, 1), 1: (1, 3)}, 4))
+        assert fate.tolist() == [DELIVERED, BLOCKED, IDLE, IDLE]
 
-    def test_admits_tracks_the_rotation(self):
+    def test_wiring_tracks_the_rotation(self):
         stage = RotorFabric(4)
-        assert stage.admits(0, 1) and not stage.admits(0, 2)
-        stage.step([None] * 4)
-        assert stage.admits(0, 2) and not stage.admits(0, 1)
+        assert stage.wiring() == [1, 2, 3, 0]
+        stage.step(*_slots({}, 4))
+        assert stage.wiring() == [2, 3, 0, 1]
 
     def test_self_destination_always_admitted(self):
         stage = RotorFabric(4)
-        assert stage.admits(2, 2)
+        fate, _ = stage.step(*_slots({2: (0, 2)}, 4))
+        assert fate[2] == DELIVERED
 
     def test_slot_cycles_holds_the_matching(self):
         stage = RotorFabric(4, slot_cycles=2)
-        stage.step([None] * 4)
-        assert stage.admits(0, 1)  # still slot 0 after one cycle
-        stage.step([None] * 4)
-        assert stage.admits(0, 2)
+        stage.step(*_slots({}, 4))
+        assert stage.wiring()[0] == 1  # still slot 0 after one cycle
+        stage.step(*_slots({}, 4))
+        assert stage.wiring()[0] == 2
 
     def test_tiny_n_raises(self):
         with pytest.raises(ConfigurationError):
@@ -246,8 +269,8 @@ class TestFatTreeFabric:
 
     def test_single_cell_survives(self):
         stage = FatTreeFabric(8)
-        outcome = stage.step(_cells({2: (0, 5)}, 8))
-        assert [c.flow_id for c in outcome.delivered] == [0]
+        fate, _ = stage.step(*_slots({2: (0, 5)}, 8))
+        assert fate[2] == DELIVERED and _count(fate, IDLE) == 7
 
 
 class TestBuildFabric:
