@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
 from repro._util.rng import default_rng
@@ -112,6 +113,19 @@ class TestRouting:
         msgs[0] = Routed(message=Message.from_int(0, 4), src=3, dst=5)
         with pytest.raises(ConfigurationError):
             tree.route_round(msgs)
+
+    def test_bad_destination_rejected(self):
+        tree = FatTree(3, constant_capacity(1))
+        for dst in (-1, 8):
+            msgs: list[Routed | None] = [None] * 8
+            msgs[2] = Routed(message=Message.from_int(0, 4), src=2, dst=dst)
+            with pytest.raises(ConfigurationError):
+                tree.route_round(msgs)
+        for dst in (-2, 8):
+            row = np.full(8, -1)
+            row[2] = dst
+            with pytest.raises(ConfigurationError):
+                tree.route_round_detailed(row)
 
     def test_wrong_width_rejected(self):
         with pytest.raises(ConfigurationError):
