@@ -43,8 +43,10 @@ class ChipLayer:
     """One bank of equal-width hyperconcentrator chips.
 
     ``groups[c, w]`` is the flat wire position wired to chip ``c``'s
-    local wire ``w``.  Positions not listed in any group pass through
-    unchanged.
+    local wire ``w``.  The batched executor requires every layer of a
+    plan to cover all of its positions (``total_upto >= plan.n``) and
+    raises :class:`~repro.errors.ConfigurationError` otherwise; there
+    is no pass-through wire.
 
     The executor-facing derived tables are int32 (half the memory
     traffic of the int64 ``groups``, which the scalar paths keep using):

@@ -10,8 +10,9 @@ does:
   chips, dead output pads, flaky pins) compiled to shared mask form;
 * **injection** (:mod:`repro.faults.injector`) — :class:`FaultySwitch`
   threads one scenario through all three execution paths: the scalar
-  setup, the batched engine (:func:`repro.engine.run_plan_with_faults`),
-  and the gate netlists (forced wires);
+  setup (its own plan walker, kept as an oracle), the batched engine
+  (:func:`repro.engine.run_plan_with_faults`, the healthy sparse
+  walker with kill masks), and the gate netlists (forced wires);
 * **sampling** (:mod:`repro.faults.sampling`) — reliability-weighted
   scenario draws, so MTBF figures become concrete fault distributions;
 * **certification** (:mod:`repro.faults.certify`) — re-measured

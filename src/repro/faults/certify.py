@@ -35,6 +35,7 @@ import numpy as np
 
 from repro import obs
 from repro.engine.batch import nearsortedness_batch
+from repro.errors import ConfigurationError
 from repro.faults.injector import FaultySwitch, gate_occupancy
 from repro.faults.scenario import FaultScenario
 
@@ -155,11 +156,27 @@ def write_degradation_certificate(
 
 
 def read_degradation_certificate(path: str | Path) -> dict:
+    """Load a degradation certificate, checking its schema and the
+    fields ``repro faults report`` reads; raises
+    :class:`ConfigurationError` naming ``path`` otherwise."""
     doc = json.loads(Path(path).read_text())
+    if not isinstance(doc, dict):
+        raise ConfigurationError(
+            f"{path} is not a {DEGRADATION_SCHEMA} document "
+            f"(a JSON {type(doc).__name__}, not an object)"
+        )
     if doc.get("schema") != DEGRADATION_SCHEMA:
-        raise ValueError(
+        raise ConfigurationError(
             f"{path} is not a {DEGRADATION_SCHEMA} document "
             f"(schema={doc.get('schema')!r})"
+        )
+    missing = [
+        key for key in ("design", "kind", "steps", "ok", "monotone_alpha")
+        if key not in doc
+    ]
+    if missing:
+        raise ConfigurationError(
+            f"{path} is missing certificate field(s): {', '.join(missing)}"
         )
     return doc
 

@@ -9,8 +9,10 @@ its routing:
   interior kills walk the stage plan with the library's scalar
   chip-layer machinery (:func:`repro.switches.wiring.apply_chip_layer`),
   zeroing killed wires between stages;
-* **batched** — :func:`repro.engine.batch.run_plan_with_faults` applies
-  the same kill masks inside the plan executor;
+* **batched** — :func:`repro.engine.batch.run_plan_with_faults` runs
+  the engine's sparse plan walker with the same kill masks, dropping
+  killed messages between layers (all-``None`` masks for a healthy
+  plan);
 * **gate level** — :func:`netlist_forces` lowers interior kills to
   stuck-at-0 forces on the named chip-output wires
   (``s{stage}c{chip}yv{wire}``) of the design's elaborated netlist.
@@ -31,7 +33,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro import obs
-from repro.engine.batch import BatchRouting, run_plan, run_plan_with_faults
+from repro.engine.batch import BatchRouting, run_plan_with_faults
 from repro.engine.plan import FixedPermutation
 from repro.switches.base import ConcentratorSwitch, Routing
 from repro.switches.wiring import apply_chip_layer
@@ -124,12 +126,7 @@ class FaultySwitch(ConcentratorSwitch):
         invalid inputs and messages killed mid-flight.  For non-plan
         designs "position" is the output index the inner switch chose."""
         if self._plan is not None:
-            if self.compiled.has_interior:
-                return run_plan_with_faults(
-                    self._plan, eff, self.compiled.stage_kills
-                )
-            pos = run_plan(self._plan, eff)
-            return np.where(eff, pos, -1)
+            return run_plan_with_faults(self._plan, eff, self.compiled.stage_kills)
         base = self.inner.setup_batch(eff)
         return np.where(eff, base.input_to_output, -1)
 
@@ -219,11 +216,11 @@ def netlist_forces(fswitch: FaultySwitch, circuit) -> dict[int, bool] | None:
     """Lower a scenario's interior kills to netlist wire forces.
 
     Returns a wire-id → stuck-value map for
-    :func:`repro.gates.evaluate.evaluate`, or None when some killed
-    position has no named chip-output wire (partial layers).  Input
-    stucks are applied to the input vector instead (equivalent to
-    forcing the ``v{i}`` wires); dead outputs are pad failures and do
-    not exist at the netlist level.
+    :func:`repro.gates.evaluate.evaluate`, or None when the design has
+    no stage plan.  Every chip layer is total, so each killed position
+    is a named chip-output wire.  Input stucks are applied to the input
+    vector instead (equivalent to forcing the ``v{i}`` wires); dead
+    outputs are pad failures and do not exist at the netlist level.
     """
     if fswitch._plan is None:
         return None
@@ -236,10 +233,7 @@ def netlist_forces(fswitch: FaultySwitch, circuit) -> dict[int, bool] | None:
             continue
         width = op.chip_width
         for p in np.flatnonzero(kmask):
-            slot = int(op.cm_of[p]) if p < op.cm_of.size else -1
-            if slot < 0:
-                return None  # pass-through position: no named wire to force
-            chip, wire = divmod(slot, width)
+            chip, wire = divmod(int(op.cm_of[p]), width)
             forces[circuit.wire(f"s{stage}c{chip}yv{wire}")] = False
     return forces
 
@@ -258,8 +252,6 @@ def gate_occupancy(
         return None
     circuit, outs = netlist
     forces = netlist_forces(fswitch, circuit)
-    if forces is None:
-        return None
     valid2d = fswitch._check_valid_batch(valid)
     eff = fswitch.effective_valid(valid2d)
     values = evaluate(circuit, eff, forces=forces)

@@ -37,10 +37,10 @@ from repro.engine import (
     BatchRouting,
     StagePlan,
     chip_layer,
+    concentrate_plan_batch,
     fixed_permutation,
     plan_cache,
     run_plan,
-    run_plan_sparse,
 )
 from repro.errors import ConfigurationError
 from repro.mesh.columnsort import validate_columnsort_shape
@@ -53,7 +53,11 @@ from repro.switches.wiring import apply_chip_layer, column_groups, compose
 
 def _build_iterated_plan(r: int, s: int, passes: int) -> StagePlan:
     """Compile the k-pass pipeline: (chips, alternating reshuffle) × k
-    plus the final chip stage (readout conversion happens outside)."""
+    plus the final chip stage.  After an even number of passes the
+    output pads read the matrix column-major; that readout is a fixed
+    relabelling of the row-major flat positions by the same formula as
+    the CM→RM reshuffle, so it is appended as the plan's last wiring
+    and the plan yields output-wire indices directly."""
     cols = chip_layer(column_groups(r, s))
     fwd = cm_to_rm_permutation(r, s)
     inv = np.empty_like(fwd)
@@ -63,6 +67,8 @@ def _build_iterated_plan(r: int, s: int, passes: int) -> StagePlan:
     for k in range(passes):
         ops += [cols, shuffles[k % 2]]
     ops.append(cols)
+    if passes % 2 == 0:
+        ops.append(shuffles[0])  # column-major readout
     return StagePlan(key=("iterated-columnsort", r, s, passes), n=r * s, ops=tuple(ops))
 
 
@@ -162,27 +168,20 @@ class IteratedColumnsortSwitch(ConcentratorSwitch):
             out[shuffle] = current
             current = out
         perms.append(apply_chip_layer(current, self._groups))
+        if self.readout == "cm":
+            perms.append(self._plan.ops[-1].perm)
         return perms
 
     def final_positions(self, valid: np.ndarray) -> np.ndarray:
-        """Final *output-wire index* of each input: the flat matrix
-        position converted to the readout ordering."""
-        flat = compose(self.stage_permutations(valid))
-        if self.readout == "rm":
-            return flat
-        # Convert flat row-major position p = s·i + j to CM = r·j + i.
-        i, j = flat // self.s, flat % self.s
-        return self.r * j + i
+        """Final *output-wire index* of each input, in the readout
+        ordering."""
+        return compose(self.stage_permutations(valid))
 
     def final_positions_batch(self, valid: np.ndarray) -> np.ndarray:
         """Batched :meth:`final_positions` over ``(B, n)`` trials, in
         the readout ordering; entries for invalid inputs are
         unspecified."""
-        flat = run_plan(self._plan, self._check_valid_batch(valid))
-        if self.readout == "rm":
-            return flat
-        i, j = flat // self.s, flat % self.s
-        return self.r * j + i
+        return run_plan(self._plan, self._check_valid_batch(valid))
 
     def setup(self, valid: np.ndarray) -> Routing:
         valid = self._check_valid(valid)
@@ -193,14 +192,7 @@ class IteratedColumnsortSwitch(ConcentratorSwitch):
         )
 
     def _setup_batch(self, valid: np.ndarray) -> BatchRouting:
-        rows, cols, flat = run_plan_sparse(self._plan, valid)
-        if self.readout == "rm":
-            final = flat
-        else:
-            i, j = flat // self.s, flat % self.s
-            final = self.r * j + i
-        routing = np.full(valid.shape, -1, dtype=np.int64)
-        routing[rows, cols] = np.where(final < self.m, final, -1)
+        routing = concentrate_plan_batch(self._plan, valid, self.m)
         return BatchRouting(
             n_inputs=self.n, n_outputs=self.m, valid=valid, input_to_output=routing
         )

@@ -18,11 +18,15 @@ from repro import obs
 from repro.analysis.sweep import sweep
 from repro.engine import (
     BatchRouting,
+    StagePlan,
+    chip_layer,
     plan_cache,
     run_plan,
     run_plan_sparse,
+    run_plan_with_faults,
 )
 from repro.errors import ConfigurationError
+from repro.faults.scenario import chip_layers
 from repro.gates.evaluate import evaluate, evaluate_packed, pack_bits, unpack_bits
 from repro.gates.hyperconc_gates import build_hyperconcentrator
 from repro.network.simulate import compare_partial_vs_perfect
@@ -204,6 +208,34 @@ class TestPlanExecutor:
         # Final positions of one trial's valid inputs are all distinct.
         sel = rows == 2
         assert np.unique(pos[sel]).size == int(sel.sum())
+
+    def test_partial_chip_layer_is_rejected(self):
+        # Chips cover positions 0..3 of 8: the walker has no pass-through.
+        partial = StagePlan(
+            key=("partial-layer-test", 8), n=8,
+            ops=(chip_layer([np.arange(4)]),),
+        )
+        with pytest.raises(ConfigurationError, match="every chip layer"):
+            run_plan(partial, np.ones((2, 8), dtype=bool))
+
+    @pytest.mark.parametrize(
+        "bad_mask",
+        [
+            # 0/1 ints marking positions 5 and 9: as fancy indices they
+            # would kill positions 0 and 1 instead.
+            np.isin(np.arange(16), [5, 9]).astype(np.int64),
+            np.zeros(15, dtype=bool),
+        ],
+        ids=["int64-mask", "wrong-length"],
+    )
+    def test_fault_walker_rejects_malformed_kill_masks(self, bad_mask):
+        switch = RevsortSwitch(16, 12)
+        kills = [None] * len(chip_layers(switch._plan))
+        kills[0] = bad_mask
+        with pytest.raises(ConfigurationError, match="kill mask"):
+            run_plan_with_faults(
+                switch._plan, np.ones((1, 16), dtype=bool), kills
+            )
 
 
 class TestBatchRouting:

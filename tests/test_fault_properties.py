@@ -30,6 +30,8 @@ from repro.faults import (
 )
 from repro.faults.scenario import chip_layers, plan_of
 from repro.switches.columnsort_switch import ColumnsortSwitch
+from repro.switches.iterated_columnsort import IteratedColumnsortSwitch
+from repro.switches.multichip_hyper import FullRevsortHyperconcentrator
 from repro.switches.revsort_switch import RevsortSwitch
 from repro.verify import strategies as vst
 
@@ -111,28 +113,38 @@ def _healthy_occupancy(switch, valid: np.ndarray) -> np.ndarray:
     return occ
 
 
+def _assert_batch_scalar_parity(data, designs) -> None:
+    switch = data.draw(st.sampled_from(designs))
+    scenario = data.draw(vst.fault_scenarios(switch, max_faults=3))
+    fsw = FaultySwitch(switch, scenario)
+    batch = data.draw(vst.bit_batches(switch.n, min_batch=1, max_batch=4))
+    routed = fsw.setup_batch(batch).input_to_output
+    for row in range(batch.shape[0]):
+        scalar = fsw.setup(batch[row])
+        assert np.array_equal(scalar.input_to_output, routed[row])
+
+
+# Every StagePlan family, drawn as an extra input of the parity tests
+# (25 examples per design): full-revsort has 12 chip layers, chip width
+# 24 takes the walker's non-power-of-two rank branch.
+REVSORT_FAMILY = (MEDIUM, FullRevsortHyperconcentrator(64))
+COLUMNSORT_FAMILY = (
+    COLUMN,
+    ColumnsortSwitch(24, 3, 54),
+    IteratedColumnsortSwitch(16, 4, 36, passes=2),
+)
+
+
 class TestSampledScenarioParity:
-    @settings(max_examples=25)
+    @settings(max_examples=25 * len(REVSORT_FAMILY))
     @given(data=st.data())
     def test_batch_scalar_parity_revsort(self, data):
-        scenario = data.draw(vst.fault_scenarios(MEDIUM, max_faults=3))
-        fsw = FaultySwitch(MEDIUM, scenario)
-        batch = data.draw(vst.bit_batches(64, min_batch=1, max_batch=4))
-        routed = fsw.setup_batch(batch).input_to_output
-        for row in range(batch.shape[0]):
-            scalar = fsw.setup(batch[row])
-            assert np.array_equal(scalar.input_to_output, routed[row])
+        _assert_batch_scalar_parity(data, REVSORT_FAMILY)
 
-    @settings(max_examples=25)
+    @settings(max_examples=25 * len(COLUMNSORT_FAMILY))
     @given(data=st.data())
     def test_batch_scalar_parity_columnsort(self, data):
-        scenario = data.draw(vst.fault_scenarios(COLUMN, max_faults=3))
-        fsw = FaultySwitch(COLUMN, scenario)
-        batch = data.draw(vst.bit_batches(64, min_batch=1, max_batch=4))
-        routed = fsw.setup_batch(batch).input_to_output
-        for row in range(batch.shape[0]):
-            scalar = fsw.setup(batch[row])
-            assert np.array_equal(scalar.input_to_output, routed[row])
+        _assert_batch_scalar_parity(data, COLUMNSORT_FAMILY)
 
     @settings(max_examples=20)
     @given(data=st.data())

@@ -294,11 +294,23 @@ class TestCertification:
         assert doc["design"] == "revsort-16"
         assert doc["ok"] is True
 
-    def test_read_rejects_foreign_schema(self, tmp_path):
-        path = tmp_path / "other.json"
-        path.write_text(json.dumps({"schema": "something/else@1"}))
-        with pytest.raises(ValueError):
-            read_degradation_certificate(path)
+    def test_read_rejects_foreign_schema(self, tmp_path, capsys):
+        # A foreign schema, a non-object document and a certificate
+        # missing its fields: each is a usage error naming the file,
+        # and `repro faults report` exits 2 instead of crashing.
+        from repro.cli import main
+
+        for doc in (
+            {"schema": "something/else@1"},
+            [1, 2],
+            {"schema": DEGRADATION_SCHEMA},
+        ):
+            path = tmp_path / "other.json"
+            path.write_text(json.dumps(doc))
+            with pytest.raises(ConfigurationError, match="other.json"):
+                read_degradation_certificate(path)
+            assert main(["faults", "report", str(path)]) == 2
+            assert "other.json" in capsys.readouterr().err
 
     def test_flaky_resilience_retry_recovers(self):
         sw = RevsortSwitch(64, 48)
