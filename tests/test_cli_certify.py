@@ -71,6 +71,18 @@ class TestCertifyCommand:
             "certify_hyper8.json"
         )
 
+    def test_registry_probe_is_byte_identical(self, capsys):
+        """Every registry config at ``--max-total 1 --max-per-k 1``: both
+        strides are 1, so every sampled pattern goes through scalar
+        parity and all three metamorphic relations.  Regenerate with
+        ``PYTHONPATH=src python -m repro certify --format json
+        --max-total 1 --max-per-k 1``."""
+        args = ["certify", "--format", "json", "--max-total", "1", "--max-per-k", "1"]
+        assert main(args) == 0
+        assert capsys.readouterr().out == (
+            GOLDEN_DIR / "certify_registry_probe.json"
+        ).read_text()
+
     def test_stdout_schema(self, capsys):
         assert main(self.ARGS) == 0
         (doc,) = json.loads(capsys.readouterr().out)
