@@ -11,9 +11,9 @@ warmed plan cache, checks the two produce identical routings (exit 1 on
 any mismatch), and writes a JSON report with per-row speedups plus the
 plan-cache statistics.  ``--smoke`` shrinks sizes/trials for CI.
 
-The headline row — Thm-4 Columnsort quality-bench geometry,
-``ColumnsortSwitch.from_beta(4096, 0.75, 3072)`` — is expected to show
-a ≥ 5× per-trial speedup (see docs/performance.md).
+The headline row is the Thm-4 Columnsort quality-bench geometry,
+``ColumnsortSwitch.from_beta(4096, 0.75, 3072)``; docs/performance.md
+records the measured per-trial speedups.
 """
 
 from __future__ import annotations

@@ -87,11 +87,14 @@ def validate_routing_disjoint(routing: np.ndarray, n_outputs: int) -> None:
     """Check that the electrical paths are disjoint and in range."""
     routing = np.asarray(routing)
     used = routing[routing >= 0]
-    if used.size and used.max() >= n_outputs:
+    if not used.size:
+        return
+    top = used.max()
+    if top >= n_outputs:
         raise ConcentrationError(
-            f"routing targets output {used.max()} but the switch has {n_outputs} outputs"
+            f"routing targets output {top} but the switch has {n_outputs} outputs"
         )
-    if np.unique(used).size != used.size:
+    if np.bincount(used).max() > 1:
         raise ConcentrationError("routing paths are not disjoint (output reused)")
 
 

@@ -16,9 +16,10 @@ array-at-once engine:
   :func:`repro.gates.evaluate.evaluate_packed` packs 64 trials per
   ``uint64`` lane and evaluates netlists with bitwise ops.
 
-The scalar paths stay untouched as the correctness oracle; the parity
-tests in ``tests/test_engine.py`` pin batch == scalar for every design
-in the registry.  See ``docs/performance.md``.
+The scalar paths stay the correctness oracle: they read the compiled
+chip layers but rank each chip with their own full stable argsort, and
+the parity tests in ``tests/test_engine.py`` pin batch == scalar for
+every design in the registry.  See ``docs/performance.md``.
 """
 
 from repro.engine.batch import (

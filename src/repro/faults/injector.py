@@ -36,7 +36,7 @@ from repro import obs
 from repro.engine.batch import BatchRouting, run_plan_with_faults
 from repro.engine.plan import FixedPermutation
 from repro.switches.base import ConcentratorSwitch, Routing
-from repro.switches.wiring import apply_chip_layer
+from repro.switches.wiring import apply_chip_layer, permute_bits
 
 from repro.faults.scenario import (
     CompiledFaults,
@@ -148,11 +148,11 @@ class FaultySwitch(ConcentratorSwitch):
         for op in self._plan.ops:
             if isinstance(op, FixedPermutation):
                 posn = op.perm[posn]
-                bits = _permute_bits(bits, op.perm)
+                bits = permute_bits(bits, op.perm)
                 continue
-            perm = apply_chip_layer(bits, list(op.groups))
+            perm = apply_chip_layer(bits, op)
             posn = perm[posn]
-            bits = _permute_bits(bits, perm)
+            bits = permute_bits(bits, perm)
             kmask = self.compiled.stage_kills[layer_i]
             layer_i += 1
             if kmask is not None and kmask.any():
@@ -204,12 +204,6 @@ class FaultySwitch(ConcentratorSwitch):
             f"FaultySwitch({self.inner!r}, scenario={self.scenario.name!r}, "
             f"faults={self.scenario.fault_count})"
         )
-
-
-def _permute_bits(bits: np.ndarray, perm: np.ndarray) -> np.ndarray:
-    out = np.empty_like(bits)
-    out[perm] = bits
-    return out
 
 
 def netlist_forces(fswitch: FaultySwitch, circuit) -> dict[int, bool] | None:

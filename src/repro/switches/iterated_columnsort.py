@@ -48,7 +48,7 @@ from repro.mesh.grid import sort_columns
 from repro.mesh.order import cm_to_rm_permutation
 from repro.switches.base import ConcentratorSwitch, Routing
 from repro.switches.hyperconcentrator import Hyperconcentrator
-from repro.switches.wiring import apply_chip_layer, column_groups, compose
+from repro.switches.wiring import apply_chip_layer, column_groups, compose, permute_bits
 
 
 def _build_iterated_plan(r: int, s: int, passes: int) -> StagePlan:
@@ -109,22 +109,6 @@ class IteratedColumnsortSwitch(ConcentratorSwitch):
         )
 
     @property
-    def _groups(self) -> list:
-        return list(self._plan.ops[0].groups)
-
-    @property
-    def _reshuffle(self):
-        """The two alternating reshuffles: index 0 = CM→RM (odd
-        passes), index 1 = RM→CM (even passes)."""
-        fwd = self._plan.ops[1].perm
-        if self.passes >= 2:
-            return (fwd, self._plan.ops[3].perm)
-        inv = np.empty_like(fwd)
-        inv[fwd] = np.arange(fwd.size, dtype=np.int64)
-        inv.setflags(write=False)
-        return (fwd, inv)
-
-    @property
     def readout(self) -> str:
         """Output ordering: ``"rm"`` after an odd number of passes
         (last reshuffle was CM→RM), ``"cm"`` after an even number."""
@@ -153,23 +137,20 @@ class IteratedColumnsortSwitch(ConcentratorSwitch):
 
     def stage_permutations(self, valid: np.ndarray) -> list[np.ndarray]:
         valid = self._check_valid(valid)
+        ops = self._plan.ops
+        cols = ops[0]
+        # CM→RM after odd passes, RM→CM after even ones.
+        shuffles = [op.perm for op in ops[1:4:2]]
         perms: list[np.ndarray] = []
-        current = valid.copy()
+        current = valid
         for k in range(self.passes):
-            p = apply_chip_layer(current, self._groups)
-            out = np.empty_like(current)
-            out[p] = current
-            current = out
-            perms.append(p)
-
-            shuffle = self._reshuffle[k % 2]
-            perms.append(shuffle)
-            out = np.empty_like(current)
-            out[shuffle] = current
-            current = out
-        perms.append(apply_chip_layer(current, self._groups))
+            p = apply_chip_layer(current, cols)
+            shuffle = shuffles[k % 2]
+            current = permute_bits(permute_bits(current, p), shuffle)
+            perms += [p, shuffle]
+        perms.append(apply_chip_layer(current, cols))
         if self.readout == "cm":
-            perms.append(self._plan.ops[-1].perm)
+            perms.append(ops[-1].perm)
         return perms
 
     def final_positions(self, valid: np.ndarray) -> np.ndarray:

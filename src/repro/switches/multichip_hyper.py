@@ -35,6 +35,7 @@ from repro._util.bits import ilg
 from repro.core.concentration import ConcentratorSpec
 from repro.engine import (
     BatchRouting,
+    ChipLayer,
     StagePlan,
     chip_layer,
     fixed_permutation,
@@ -44,7 +45,11 @@ from repro.engine import (
 )
 from repro.errors import ConfigurationError, RoutingError
 from repro.mesh.columnsort import validate_columnsort_shape
-from repro.mesh.order import rev_rotate_permutation
+from repro.mesh.order import (
+    cm_to_rm_permutation,
+    rev_rotate_permutation,
+    rm_to_cm_permutation,
+)
 from repro.mesh.revsort import revsort_repetitions
 from repro.switches.base import ConcentratorSwitch, Routing
 from repro.switches.hyperconcentrator import Hyperconcentrator
@@ -52,14 +57,9 @@ from repro.switches.wiring import (
     apply_chip_layer,
     column_groups,
     compose,
+    permute_bits,
     row_groups,
 )
-
-
-def _permute_bits(bits: np.ndarray, perm: np.ndarray) -> np.ndarray:
-    out = np.empty_like(bits)
-    out[perm] = bits
-    return out
 
 
 def _build_full_revsort_plan(n: int, side: int, repetitions: int) -> StagePlan:
@@ -103,50 +103,37 @@ class FullRevsortHyperconcentrator(ConcentratorSwitch):
         )
 
     @property
-    def _cols(self) -> list:
-        return list(self._plan.ops[0].groups)
-
-    @property
-    def _rows(self) -> list:
-        return list(self._plan.ops[1].groups)
-
-    @property
-    def _rows_snake(self) -> list:
-        # First Shearsort stage: after `repetitions` (cols, rows,
-        # rotate) triples and the completing column sort.
-        return list(self._plan.ops[3 * self.repetitions + 1].groups)
-
-    @property
-    def _rotate(self) -> np.ndarray:
-        return self._plan.ops[2].perm
-
-    @property
     def spec(self) -> ConcentratorSpec:
         return ConcentratorSpec(n=self.n, m=self.n, alpha=1.0)
 
     def final_positions(self, valid: np.ndarray) -> np.ndarray:
         """Row-major position of each input after the full pipeline."""
         valid = self._check_valid(valid)
+        ops = self._plan.ops
+        cols, rows, rotate = ops[:3]
+        # First Shearsort stage: after `repetitions` (cols, rows,
+        # rotate) triples and the completing column sort.
+        rows_snake = ops[3 * self.repetitions + 1]
         perms: list[np.ndarray] = []
-        current = valid.copy()
+        current = valid
 
-        def chip_layer(groups: list[np.ndarray]) -> None:
+        def sort(layer: ChipLayer) -> None:
             nonlocal current
-            p = apply_chip_layer(current, groups)
-            current = _permute_bits(current, p)
+            p = apply_chip_layer(current, layer)
+            current = permute_bits(current, p)
             perms.append(p)
 
         for _ in range(self.repetitions):
-            chip_layer(self._cols)          # sort columns
-            chip_layer(self._rows)          # sort rows
-            perms.append(self._rotate)      # rev(i) rotation wiring
-            current = _permute_bits(current, self._rotate)
-        chip_layer(self._cols)              # completing column sort
+            sort(cols)                      # sort columns
+            sort(rows)                      # sort rows
+            perms.append(rotate.perm)       # rev(i) rotation wiring
+            current = permute_bits(current, rotate.perm)
+        sort(cols)                          # completing column sort
 
         for _ in range(3):                  # three Shearsort iterations
-            chip_layer(self._rows_snake)
-            chip_layer(self._cols)
-        chip_layer(self._rows)              # final row-major fixup
+            sort(rows_snake)
+            sort(cols)
+        sort(rows)                          # final row-major fixup
 
         return compose(perms)
 
@@ -210,8 +197,10 @@ class FullColumnsortHyperconcentrator(ConcentratorSwitch):
         self.n = r * s
         self.m = self.n
         self.half = r // 2
-        self._groups = column_groups(r, s)
-        self._groups_ext = column_groups(r, s + 1)
+        self._cols = chip_layer(column_groups(r, s))
+        self._cols_ext = chip_layer(column_groups(r, s + 1))
+        self._cm_to_rm = cm_to_rm_permutation(r, s)
+        self._rm_to_cm = rm_to_cm_permutation(r, s)
         self._chip = Hyperconcentrator(r)
 
     @property
@@ -226,24 +215,17 @@ class FullColumnsortHyperconcentrator(ConcentratorSwitch):
         # pos[i] = current flat row-major position of input i.
         pos = np.arange(n, dtype=np.int64)
 
-        def chip_layer(groups: list[np.ndarray], size: int) -> None:
+        def sort(layer: ChipLayer) -> None:
             nonlocal pos
-            bits = np.zeros(size, dtype=bool)
+            bits = np.zeros(n, dtype=bool)
             bits[pos] = valid
-            perm = apply_chip_layer(bits, groups)
-            pos = perm[pos]
+            pos = apply_chip_layer(bits, layer)[pos]
 
-        def wire(perm: np.ndarray) -> None:
-            nonlocal pos
-            pos = perm[pos]
-
-        from repro.mesh.order import cm_to_rm_permutation, rm_to_cm_permutation
-
-        chip_layer(self._groups, n)                    # step 1
-        wire(cm_to_rm_permutation(r, s))               # step 2
-        chip_layer(self._groups, n)                    # step 3
-        wire(rm_to_cm_permutation(r, s))               # step 4
-        chip_layer(self._groups, n)                    # step 5
+        sort(self._cols)                               # step 1
+        pos = self._cm_to_rm[pos]                      # step 2
+        sort(self._cols)                               # step 3
+        pos = self._rm_to_cm[pos]                      # step 4
+        sort(self._cols)                               # step 5
 
         # step 6: shift down half a column into the r x (s+1) space.
         i, j = pos // s, pos % s
@@ -257,7 +239,7 @@ class FullColumnsortHyperconcentrator(ConcentratorSwitch):
         bits_ext[pos_ext] = valid
         for t in range(half):                          # valid sentinels
             bits_ext[(s + 1) * t] = True
-        perm_ext = apply_chip_layer(bits_ext, self._groups_ext)
+        perm_ext = apply_chip_layer(bits_ext, self._cols_ext)
         pos_ext = perm_ext[pos_ext]
 
         # step 8: unshift — strip sentinels; the output index is the

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.engine.plan import OVERLAP_MESSAGE, ChipLayer, chip_layer
 from repro.errors import ConfigurationError
 from repro.switches.hyperconcentrator import concentrate_permutation
 
@@ -51,7 +52,7 @@ def row_groups(rows: int, cols: int, *, reverse_odd: bool = False) -> list[np.nd
 
 
 def apply_chip_layer(
-    valid_by_pos: np.ndarray, groups: list[np.ndarray]
+    valid_by_pos: np.ndarray, layer: ChipLayer | list[np.ndarray]
 ) -> np.ndarray:
     """One bank of hyperconcentrator chips as a position permutation.
 
@@ -61,46 +62,47 @@ def apply_chip_layer(
     with ``new_position = perm[old_position]``.  Positions not covered
     by any group stay put; groups must be disjoint.
 
-    When the groups form a rectangular bank (equal sizes), the whole
-    layer is computed with one batched stable argsort — the hot path of
-    every multichip setup (see :func:`apply_chip_layer_batched`).
+    ``layer`` is normally a compiled :class:`~repro.engine.plan.ChipLayer`
+    — the scalar setup path of every plan-based switch — whose groups
+    were checked for overlap once, when the plan was built.  The whole
+    bank is then ranked with one stable argsort per chip over *every*
+    wire, valid or not, deliberately unlike the batch walker's running
+    count over valid entries, so the scalar path stays an independent
+    oracle.  A list of equal-width groups is compiled first; an
+    irregular list is concentrated chip by chip.
     """
     n = valid_by_pos.size
-    sizes = {g.size for g in groups}
-    if len(sizes) == 1 and groups and sum(g.size for g in groups) <= n:
-        stacked = np.stack(groups)  # (chips, width)
-        seen = np.zeros(n, dtype=bool)
-        flat = stacked.reshape(-1)
-        seen[flat] = True
-        if seen.sum() != flat.size:
-            raise ConfigurationError("chip groups overlap: a wire feeds two chips")
-        perm = np.arange(n, dtype=np.int64)
-        local = apply_chip_layer_batched(valid_by_pos[stacked])
-        perm[flat] = np.take_along_axis(stacked, local, axis=1).reshape(-1)
-        return perm
-
+    if not isinstance(layer, ChipLayer):
+        if len({g.size for g in layer}) == 1:
+            layer = chip_layer(layer)
+        else:
+            return _apply_irregular(valid_by_pos, layer)
+    groups = layer.groups
+    chips, width = groups.shape
+    order = np.argsort(~valid_by_pos[groups], axis=1, kind="stable")  # winners first
+    order += np.arange(0, chips * width, width)[:, None]
     perm = np.arange(n, dtype=np.int64)
-    seen = np.zeros(n, dtype=bool)
+    perm[groups.reshape(-1)[order]] = groups
+    return perm
+
+
+def _apply_irregular(valid_by_pos: np.ndarray, groups: list[np.ndarray]) -> np.ndarray:
+    perm = np.arange(valid_by_pos.size, dtype=np.int64)
+    seen = np.zeros(valid_by_pos.size, dtype=bool)
     for group in groups:
         if seen[group].any():
-            raise ConfigurationError("chip groups overlap: a wire feeds two chips")
+            raise ConfigurationError(OVERLAP_MESSAGE)
         seen[group] = True
         local = concentrate_permutation(valid_by_pos[group])
         perm[group] = group[local]
     return perm
 
 
-def apply_chip_layer_batched(valid_rows: np.ndarray) -> np.ndarray:
-    """Vectorised order-preserving concentration for a bank of
-    equal-width chips: ``valid_rows`` is (chips, width); returns
-    ``local`` with ``local[c, w]`` = the chip-local output wire of chip
-    c's input wire w (valid inputs to the leading wires, stable)."""
-    order = np.argsort(~valid_rows, axis=1, kind="stable")  # winners first
-    local = np.empty_like(order)
-    np.put_along_axis(
-        local, order, np.broadcast_to(np.arange(valid_rows.shape[1]), order.shape).copy(), axis=1
-    )
-    return local
+def permute_bits(bits: np.ndarray, perm: np.ndarray) -> np.ndarray:
+    """Move the bit at position ``p`` to position ``perm[p]``."""
+    out = np.empty_like(bits)
+    out[perm] = bits
+    return out
 
 
 def compose(perms: list[np.ndarray]) -> np.ndarray:

@@ -218,6 +218,12 @@ class TestPlanExecutor:
         with pytest.raises(ConfigurationError, match="every chip layer"):
             run_plan(partial, np.ones((2, 8), dtype=bool))
 
+    def test_overlapping_chip_layer_is_rejected(self):
+        # Wire 1 feeds both chips; compiling used to succeed with
+        # total_upto=3 and the walker routed an all-valid row anyway.
+        with pytest.raises(ConfigurationError, match="chip groups overlap"):
+            chip_layer([np.array([0, 1]), np.array([1, 2])])
+
     @pytest.mark.parametrize(
         "bad_mask",
         [

@@ -5,6 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.engine.plan import chip_layer
 from repro.errors import ConfigurationError
 from repro.switches.wiring import (
     apply_chip_layer,
@@ -80,8 +81,9 @@ class TestApplyChipLayer:
 
 
 class TestBatchedFastPath:
-    """The vectorised rectangular-bank path must match the general
-    per-group reference exactly."""
+    """The vectorised rectangular-bank path, fed a group list or a
+    compiled :class:`~repro.engine.plan.ChipLayer`, must match the
+    general per-group reference exactly."""
 
     def _reference(self, valid, groups):
         from repro.switches.hyperconcentrator import concentrate_permutation
@@ -105,11 +107,12 @@ class TestBatchedFastPath:
     )
     def test_matches_reference(self, rng, rows, cols, maker, kwargs):
         groups = maker(rows, cols, **kwargs)
+        layer = chip_layer(groups)
         for _ in range(30):
             valid = rng.random(rows * cols) < rng.random()
-            assert np.array_equal(
-                apply_chip_layer(valid, groups), self._reference(valid, groups)
-            )
+            expected = self._reference(valid, groups)
+            assert np.array_equal(apply_chip_layer(valid, groups), expected)
+            assert np.array_equal(apply_chip_layer(valid, layer), expected)
 
     def test_irregular_groups_use_general_path(self, rng):
         valid = rng.random(7) < 0.5
