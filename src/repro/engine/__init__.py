@@ -13,8 +13,8 @@ array-at-once engine:
   array and returns a :class:`~repro.engine.batch.BatchRouting`, with
   every stage executed on 2-D arrays (one row per trial);
 * **bit-parallel gate evaluation** —
-  :func:`repro.gates.evaluate.evaluate_packed` packs 64 trials per
-  ``uint64`` lane and evaluates netlists with bitwise ops.
+  :func:`repro.gates.evaluate.evaluate` packs 64 trials per ``uint64``
+  lane and evaluates a levelized netlist with bitwise ops.
 
 The scalar paths stay the correctness oracle: they read the compiled
 chip layers but rank each chip with their own full stable argsort, and

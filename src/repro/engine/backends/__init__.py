@@ -1,6 +1,6 @@
 """repro.engine.backends — execution paths behind one protocol.
 
-``get_backend("scalar" | "batch" | "packed" | "netlist" | "process")``
+``get_backend("scalar" | "batch" | "packed" | "process")``
 returns an :class:`~repro.engine.backends.base.EngineBackend`; see
 ``docs/performance.md`` ("Scaling") for when each wins.
 """
@@ -24,7 +24,6 @@ from repro.engine.backends.base import (
 )
 from repro.engine.backends.local import (
     BatchBackend,
-    NetlistBackend,
     PackedGateBackend,
     ScalarBackend,
 )
@@ -52,7 +51,6 @@ __all__ = [
     "DEFAULT_SHARD_TRIALS",
     "BatchBackend",
     "EngineBackend",
-    "NetlistBackend",
     "PackedGateBackend",
     "ScalarBackend",
     "ShardSupervisor",

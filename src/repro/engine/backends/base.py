@@ -2,10 +2,9 @@
 
 Every de-facto execution path of the repo — the per-trial scalar
 oracle, the vectorized numpy batch engine, the bit-packed gate
-evaluator, the gate netlist — is an *engine backend*: something that
-takes a ``(B, n)`` valid-bit array and produces routings (or, for the
-gate paths, output occupancies).  This module makes that implicit
-family explicit:
+evaluator — is an *engine backend*: something that takes a ``(B, n)``
+valid-bit array and produces routings (or, for the gate path, output
+occupancies).  This module makes that implicit family explicit:
 
 * :class:`EngineBackend` — the small interface (``run_trials``,
   ``run_occupancy``, ``run_stream``, ``capabilities``, ``plan_key``);

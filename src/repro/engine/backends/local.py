@@ -1,4 +1,4 @@
-"""Single-process backends: the four historical execution paths
+"""Single-process backends: the three historical execution paths
 wrapped behind the :class:`~repro.engine.backends.base.EngineBackend`
 protocol.
 
@@ -6,9 +6,7 @@ protocol.
   correct; what every other path is certified against);
 * ``batch`` — the vectorized ``setup_batch`` engine;
 * ``packed`` — bit-parallel gate-netlist evaluation (64 trials per
-  uint64 lane); occupancy only, n ≤ 16 designs with netlists;
-* ``netlist`` — same netlists through the sequential evaluator, one
-  trial at a time (the reference the packed path is pinned against).
+  uint64 lane); occupancy only, n ≤ 16 designs with netlists.
 """
 
 from __future__ import annotations
@@ -66,13 +64,19 @@ class BatchBackend(EngineBackend):
         return switch.setup_batch(np.asarray(valid, dtype=bool))
 
 
-class _GateBackend(EngineBackend):
-    """Shared netlist resolution for the two gate-level backends."""
+class PackedGateBackend(EngineBackend):
+    """Bit-packed netlist evaluation: 64 trials per uint64 lane."""
+
+    name = "packed"
+
+    def __init__(self, **_options) -> None:
+        pass
 
     def capabilities(self) -> frozenset:
         return frozenset({CAP_OCCUPANCY})
 
-    def _netlist(self, switch):
+    def run_occupancy(self, switch, valid: np.ndarray) -> np.ndarray:
+        from repro.gates.evaluate import evaluate
         from repro.verify.differential import netlist_for
 
         netlist = netlist_for(switch)
@@ -81,46 +85,11 @@ class _GateBackend(EngineBackend):
                 f"backend {self.name!r} needs a gate netlist; "
                 f"{switch!r} has none (n > 16 or unmapped design)"
             )
-        return netlist
-
-
-class PackedGateBackend(_GateBackend):
-    """Bit-packed netlist evaluation: 64 trials per uint64 lane."""
-
-    name = "packed"
-
-    def __init__(self, **_options) -> None:
-        pass
-
-    def run_occupancy(self, switch, valid: np.ndarray) -> np.ndarray:
-        from repro.gates.evaluate import evaluate_packed
-
-        circuit, out_wires = self._netlist(switch)
-        values = evaluate_packed(circuit, np.asarray(valid, dtype=bool))
+        circuit, out_wires = netlist
+        values = evaluate(circuit, np.asarray(valid, dtype=bool))
         return values[:, out_wires]
-
-
-class NetlistBackend(_GateBackend):
-    """Sequential netlist evaluation, one trial at a time."""
-
-    name = "netlist"
-
-    def __init__(self, **_options) -> None:
-        pass
-
-    def run_occupancy(self, switch, valid: np.ndarray) -> np.ndarray:
-        from repro.gates.evaluate import evaluate
-
-        circuit, out_wires = self._netlist(switch)
-        valid = np.asarray(valid, dtype=bool)
-        out = np.zeros(valid.shape, dtype=bool)
-        for i in range(valid.shape[0]):
-            values = evaluate(circuit, valid[i])
-            out[i] = np.asarray(values)[out_wires]
-        return out
 
 
 register_backend("scalar", ScalarBackend)
 register_backend("batch", BatchBackend)
 register_backend("packed", PackedGateBackend)
-register_backend("netlist", NetlistBackend)

@@ -18,7 +18,7 @@ pure gate logic.  This package provides
 """
 
 from repro.gates.depth import critical_path_length, wire_depths
-from repro.gates.evaluate import evaluate, evaluate_packed, pack_bits, unpack_bits
+from repro.gates.evaluate import evaluate, pack_bits, unpack_bits
 from repro.gates.hyperconc_gates import GateHyperconcentrator, build_hyperconcentrator
 from repro.gates.netlist import Circuit, Op
 
@@ -29,7 +29,6 @@ __all__ = [
     "build_hyperconcentrator",
     "critical_path_length",
     "evaluate",
-    "evaluate_packed",
     "pack_bits",
     "unpack_bits",
     "wire_depths",

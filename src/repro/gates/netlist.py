@@ -66,7 +66,8 @@ class Circuit:
 
     gates: list[Gate] = field(default_factory=list)
     names: dict[str, int] = field(default_factory=dict)
-    _driven: set[int] = field(default_factory=set)
+    # Level table compiled by repro.gates.evaluate on first use.
+    _levels: object = field(default=None, repr=False, compare=False)
 
     @property
     def n_wires(self) -> int:

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.gates.evaluate import evaluate_packed
+from repro.gates.evaluate import evaluate
 from repro.gates.netlist import Circuit
 
 #: Largest n for which the gate-level oracle is elaborated (the flat
@@ -137,7 +137,7 @@ def gate_parity_failures(
 ) -> list[tuple[int, str]]:
     """Trials where the bit-parallel netlist simulation disagrees with
     the functional occupancy bits."""
-    values = evaluate_packed(circuit, np.asarray(valid, dtype=bool))
+    values = evaluate(circuit, np.asarray(valid, dtype=bool))
     gate_bits = values[:, out_wires]
     mismatch = gate_bits != expected_occupancy
     failures: list[tuple[int, str]] = []

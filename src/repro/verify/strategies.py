@@ -73,14 +73,16 @@ def circuits(
     max_fan_in: int = 4,
 ) -> Circuit:
     """A random topologically ordered combinational netlist: random
-    gate types, fan-ins, and wiring depth — not just the circuits the
-    switch builders happen to produce."""
+    gate types, fan-ins, wiring depth and input placement (the first
+    wire is an input, the rest interleave with the logic gates)."""
     n_inputs = draw(st.integers(min_value=1, max_value=max_inputs))
-    circuit = Circuit()
-    for i in range(n_inputs):
-        circuit.input(name=f"v{i}")
     n_gates = draw(st.integers(min_value=1, max_value=max_gates))
-    for _ in range(n_gates):
+    circuit = Circuit()
+    circuit.input(name="v0")
+    for is_input in draw(st.permutations([True] * (n_inputs - 1) + [False] * n_gates)):
+        if is_input:
+            circuit.input(name=f"v{circuit.n_wires}")
+            continue
         op = draw(st.sampled_from(_LOGIC_OPS + (Op.CONST0, Op.CONST1)))
         wires = st.integers(min_value=0, max_value=circuit.n_wires - 1)
         if op in (Op.CONST0, Op.CONST1):

@@ -7,6 +7,8 @@ import pytest
 from hypothesis import HealthCheck, settings
 
 from repro._util.rng import default_rng
+from repro.gates.event_sim import _gate_output
+from repro.gates.netlist import Circuit, Op
 
 # One moderate profile for CI-style runs: deterministic, bounded time.
 settings.register_profile(
@@ -33,3 +35,26 @@ def random_bits(rng: np.random.Generator, n: int, k: int | None = None) -> np.nd
     elif k > 0:
         out[rng.choice(n, size=k, replace=False)] = True
     return out
+
+
+def gate_fold(circuit: Circuit, inputs: np.ndarray, forces=None) -> np.ndarray:
+    """Reference netlist evaluation, one row and one gate at a time
+    through the timing simulator's scalar gate rule; same shapes and
+    ``forces`` semantics as :func:`repro.gates.evaluate.evaluate`."""
+    forces = forces or {}
+    arr = np.asarray(inputs, dtype=bool)
+    rows = np.atleast_2d(arr)
+    out = np.zeros((rows.shape[0], circuit.n_wires), dtype=bool)
+    for b, row in enumerate(rows.tolist()):
+        feed = iter(row)
+        values: list[bool] = []
+        for gate in circuit.gates:
+            if gate.op is Op.INPUT:
+                value = next(feed)
+            elif gate.op in (Op.CONST0, Op.CONST1):
+                value = gate.op is Op.CONST1
+            else:
+                value = _gate_output(gate.op, [values[src] for src in gate.inputs])
+            values.append(bool(forces.get(gate.output, value)))
+        out[b] = values
+    return out[0] if arr.ndim == 1 else out

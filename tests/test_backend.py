@@ -49,7 +49,7 @@ def _mixed_valid(rng, trials: int, n: int) -> np.ndarray:
 class TestRegistry:
     def test_all_execution_paths_registered(self):
         names = backend_names()
-        for name in ("scalar", "batch", "packed", "netlist", "process"):
+        for name in ("scalar", "batch", "packed", "process"):
             assert name in names
 
     def test_unknown_backend_is_config_error(self):
@@ -97,9 +97,8 @@ class TestParity:
         valid = _mixed_valid(rng, 24, sw.n)
         ref = get_backend("batch").run_occupancy(sw, valid)
         assert ref is not None
-        for name in ("packed", "netlist"):
-            occ = get_backend(name).run_occupancy(sw, valid)
-            assert np.array_equal(ref, occ), name
+        occ = get_backend("packed").run_occupancy(sw, valid)
+        assert np.array_equal(ref, occ)
 
 
 class TestStreamDeterminism:

@@ -27,7 +27,7 @@ from repro.engine import (
 )
 from repro.errors import ConfigurationError
 from repro.faults.scenario import chip_layers
-from repro.gates.evaluate import evaluate, evaluate_packed, pack_bits, unpack_bits
+from repro.gates.evaluate import evaluate, pack_bits, unpack_bits
 from repro.gates.hyperconc_gates import build_hyperconcentrator
 from repro.network.simulate import compare_partial_vs_perfect
 from repro.switches.base import ConcentratorSwitch
@@ -38,6 +38,7 @@ from repro.switches.iterated_columnsort import IteratedColumnsortSwitch
 from repro.switches.perfect import PerfectConcentrator
 from repro.switches.registry import REGISTRY, build_switch
 from repro.switches.revsort_switch import RevsortSwitch
+from tests.conftest import gate_fold
 
 
 def _registry_instances() -> list[tuple[str, ConcentratorSwitch]]:
@@ -276,20 +277,16 @@ class TestBitParallelGates:
             bits = rng.random((batch, 9)) < 0.5
             assert np.array_equal(unpack_bits(pack_bits(bits), batch), bits)
 
-    def test_evaluate_packed_matches_evaluate(self, rng):
+    def test_evaluate_matches_gate_fold(self, rng):
         circuit = build_hyperconcentrator(16, with_datapath=False)
         n_in = len(circuit.input_wires())
-        inputs = rng.random((100, n_in)) < 0.5
-        assert np.array_equal(
-            evaluate_packed(circuit, inputs), evaluate(circuit, inputs)
-        )
+        inputs = rng.random((65, n_in)) < 0.5
+        assert np.array_equal(evaluate(circuit, inputs), gate_fold(circuit, inputs))
 
-    def test_evaluate_packed_single_vector(self, rng):
+    def test_evaluate_single_vector(self, rng):
         circuit = build_hyperconcentrator(8, with_datapath=False)
         vec = rng.random(len(circuit.input_wires())) < 0.5
-        assert np.array_equal(
-            evaluate_packed(circuit, vec), evaluate(circuit, vec)
-        )
+        assert np.array_equal(evaluate(circuit, vec), gate_fold(circuit, vec))
 
 
 class TestDeterministicParallelism:

@@ -22,7 +22,7 @@ from repro.gates.builders import (
     ripple_add,
 )
 from repro.gates.depth import critical_path_length, wire_depths
-from repro.gates.evaluate import evaluate, evaluate_wires
+from repro.gates.evaluate import evaluate
 from repro.gates.netlist import Circuit, Op
 
 
@@ -103,12 +103,37 @@ class TestEvaluate:
         with pytest.raises(CircuitError):
             evaluate(c, np.array([True, False]))
 
-    def test_evaluate_wires_projection(self):
+    def test_out_of_range_forced_wire(self):
         c = Circuit()
         a = c.input()
-        g = c.add_gate(Op.NOT, a)
-        out = evaluate_wires(c, np.array([True]), [g])
-        assert list(out) == [False]
+        c.add_gate(Op.NOT, a)
+        for wire in (c.n_wires, -1):
+            with pytest.raises(CircuitError, match="not in the circuit"):
+                evaluate(c, np.array([True]), forces={wire: True})
+
+    def test_buffer_chain_levels(self):
+        """BUF has zero gate delay but still reads its source: levels
+        are unit-weighted, so BUF(BUF(NOT a)) is evaluated after NOT."""
+        c = Circuit()
+        a = c.input()
+        n = c.add_gate(Op.NOT, a)
+        b1 = c.add_gate(Op.BUF, n)
+        b2 = c.add_gate(Op.BUF, b1)
+        out = c.add_gate(Op.AND, b2, a)
+        vals = evaluate(c, np.array([[False], [True]]))
+        assert vals[:, b2].tolist() == [True, False]
+        assert vals[:, out].tolist() == [False, False]
+
+    def test_gate_appended_after_evaluate(self):
+        c = Circuit()
+        a = c.input()
+        b = c.input()
+        x = c.add_gate(Op.AND, a, b)
+        assert not evaluate(c, np.array([True, False]))[x]
+        y = c.add_gate(Op.NOR, x, b)
+        vals = evaluate(c, np.array([True, False]))
+        assert vals.shape == (4,)
+        assert bool(vals[y]) is True
 
 
 class TestDepth:
