@@ -24,7 +24,7 @@ from repro.analysis import render_table
 from repro.messages.congestion import BufferPolicy, DropPolicy, ResendPolicy
 from repro.network import (
     BernoulliTraffic,
-    ConcentrationTree,
+    FunnelNetwork,
     SwitchSimulation,
     compare_partial_vs_perfect,
 )
@@ -84,7 +84,7 @@ def concentration_tree() -> None:
     rng = default_rng(20)
     leaves = [RevsortSwitch(64, 32) for _ in range(4)]
     root = ColumnsortSwitch(32, 4, 64)  # 128 leaf outputs -> 64 links
-    tree = ConcentrationTree(leaves, root)
+    tree = FunnelNetwork([leaves, [root]])
     print(f"tree: {tree.n} inputs -> {len(leaves)} leaves -> {tree.m} output links")
     rows = []
     for k in (16, 32, 64, 96, 128):
@@ -93,8 +93,8 @@ def concentration_tree() -> None:
             messages: list[Message | None] = [None] * tree.n
             for i in rng.choice(tree.n, size=k, replace=False):
                 messages[int(i)] = Message.from_int(int(i) % 256, 8)
-            outputs, lost = tree.route(messages)
-            lost_total += lost
+            outputs, levels = tree.route(messages)
+            lost_total += sum(level.lost for level in levels)
             delivered_total += sum(1 for msg in outputs if msg is not None)
         rows.append(
             {

@@ -33,6 +33,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro import obs
+from repro._util.rng import default_rng
 from repro.engine.batch import BatchRouting, run_plan_with_faults
 from repro.engine.plan import FixedPermutation
 from repro.switches.base import ConcentratorSwitch, Routing
@@ -204,6 +205,43 @@ class FaultySwitch(ConcentratorSwitch):
             f"FaultySwitch({self.inner!r}, scenario={self.scenario.name!r}, "
             f"faults={self.scenario.fault_count})"
         )
+
+
+class FlakyPins:
+    """Per-round Bernoulli flips of a scenario's flaky input pins: one
+    ``random()`` per pin per round, in scenario order, from a stream
+    seeded by the scenario alone (not by the policy or simulator)."""
+
+    def __init__(self, pins: tuple, seed: int):
+        self.pins = pins
+        self._rng = default_rng(seed)
+
+    def flip(self, occupied: np.ndarray) -> tuple[np.ndarray, list[int]]:
+        """One round: a flip on an occupied pin garbles its message
+        before the switch sees it, a flip on an idle pin raises a ghost
+        that takes switch capacity but delivers nothing.  Returns the
+        valid bits the switch sees and the garbled pins, in order."""
+        effective = occupied.copy()
+        garbled: list[int] = []
+        for pin, p in self.pins:
+            if self._rng.random() < p:
+                if occupied[pin]:
+                    garbled.append(pin)
+                effective[pin] = not occupied[pin]
+        return effective, garbled
+
+
+def apply_scenario(switch, scenario: FaultScenario, remap_outputs: bool):
+    """The scenario hook of both traffic simulators: validate every
+    fault against ``switch``, then return the switch to route through
+    (a :class:`FaultySwitch` if any fault is structural) and the
+    :class:`FlakyPins` flipper, or None without flaky pins."""
+    compiled = compile_scenario(scenario, switch)
+    structural = scenario.structural()
+    if structural.fault_count:
+        switch = FaultySwitch(switch, structural, remap_outputs=remap_outputs)
+    flaky = FlakyPins(compiled.flaky, scenario.seed) if compiled.flaky else None
+    return switch, flaky
 
 
 def netlist_forces(fswitch: FaultySwitch, circuit) -> dict[int, bool] | None:

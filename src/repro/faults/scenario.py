@@ -16,8 +16,8 @@ field.  This module gives those failures a concrete, injectable form:
   longer be read (recoverable by remapping onto spare wires, see
   :class:`repro.faults.injector.FaultySwitch`);
 * :class:`FlakyPinFault` — an intermittent input pin that flips its
-  valid bit with per-round Bernoulli probability ``p`` (consumed by
-  :class:`repro.network.simulate.SwitchSimulation`).
+  valid bit with per-round Bernoulli probability ``p`` (consumed by the
+  traffic simulators through :func:`repro.faults.injector.apply_scenario`).
 
 A :class:`FaultScenario` bundles faults; :func:`compile_scenario`
 validates it against a concrete switch and lowers it to the mask form
@@ -210,7 +210,7 @@ def compile_scenario(scenario: FaultScenario, switch) -> CompiledFaults:
     Raises :class:`FaultInjectionError` when a fault names hardware the
     switch does not have — an out-of-range pin, a stage beyond the
     design's chip layers, or any interior fault on a switch without a
-    compiled stage plan.
+    compiled stage plan — or a flaky pin twice.
     """
     n, m = switch.n, switch.m
     plan = plan_of(switch)
@@ -277,6 +277,11 @@ def compile_scenario(scenario: FaultScenario, switch) -> CompiledFaults:
             if not 0.0 <= fault.p <= 1.0:
                 raise FaultInjectionError(
                     f"flaky pin probability must be in [0, 1], got {fault.p!r}"
+                )
+            if any(pin == fault.position for pin, _ in flaky):
+                raise FaultInjectionError(
+                    f"{fault.describe()}: pin {fault.position} is already flaky "
+                    f"in scenario {scenario.name!r}"
                 )
             flaky.append((fault.position, float(fault.p)))
         else:

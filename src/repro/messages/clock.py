@@ -14,9 +14,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro import obs
+from repro._util.rng import default_rng
 from repro.errors import ConfigurationError, SimulationError
-from repro.messages.congestion import CongestionPolicy, DropPolicy
-from repro.messages.message import Message
+from repro.messages.congestion import CongestionPolicy, DropPolicy, place_backlog
 from repro.messages.serial_sim import BitSerialSimulator
 from repro.switches.base import ConcentratorSwitch
 
@@ -69,8 +69,6 @@ class WavePipeline:
         self.payload_bits = payload_bits
         self.policy = policy if policy is not None else DropPolicy()
         self.sim = BitSerialSimulator(switch)
-        from repro._util.rng import default_rng
-
         self.rng = default_rng(seed)
 
     @property
@@ -99,18 +97,9 @@ class WavePipeline:
             offered = sum(1 for msg in fresh if msg is not None)
             self.policy.on_offered(offered)
 
-            if hasattr(self.policy, "backlog_due"):
-                backlog = self.policy.backlog_due(wave_index)
-            else:
-                backlog = self.policy.backlog()
-            injected = list(fresh)
-            overflow: list[Message] = []
-            if backlog:
-                idle = [i for i, msg in enumerate(injected) if msg is None]
-                self.rng.shuffle(idle)
-                for msg, slot in zip(backlog, idle):
-                    injected[slot] = msg
-                overflow = backlog[len(idle):]
+            injected, overflow = place_backlog(
+                fresh, self.policy.backlog_due(wave_index), self.rng
+            )
 
             record = self.sim.transit(injected)
             unrouted = record.dropped + overflow

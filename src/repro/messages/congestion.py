@@ -77,6 +77,11 @@ class CongestionPolicy(ABC):
     def backlog(self) -> list[Message]:
         """Messages this policy wants re-injected next round."""
 
+    def backlog_due(self, round_index: int) -> list[Message]:
+        """Messages to re-inject at round ``round_index``; policies
+        without timed release hand back their whole backlog."""
+        return self.backlog()
+
     def on_offered(self, count: int) -> None:
         self.stats.offered += count
 
@@ -145,7 +150,28 @@ class _Pending:
     resend_round: int
 
 
-class ResendPolicy(CongestionPolicy):
+class _TimedRelease(CongestionPolicy):
+    """A policy that schedules each retransmission for a later round
+    and releases it only once that round comes."""
+
+    def __init__(self) -> None:
+        super().__init__()
+        self._pending: list[_Pending] = []
+        self._attempts: dict[int, int] = {}
+
+    def backlog(self) -> list[Message]:
+        ready = [p.message for p in self._pending]
+        self._pending.clear()
+        return ready
+
+    def backlog_due(self, round_index: int) -> list[Message]:
+        """Release the retransmissions whose round has come."""
+        due = [p.message for p in self._pending if p.resend_round <= round_index]
+        self._pending = [p for p in self._pending if p.resend_round > round_index]
+        return due
+
+
+class ResendPolicy(_TimedRelease):
     """Drop-and-resend: the sender detects a missing acknowledgment
     after ``ack_timeout`` rounds and retransmits, up to ``max_retries``
     per message (then the message is declared lost)."""
@@ -154,8 +180,6 @@ class ResendPolicy(CongestionPolicy):
         super().__init__()
         self.ack_timeout = ack_timeout
         self.max_retries = max_retries
-        self._pending: list[_Pending] = []
-        self._attempts: dict[int, int] = {}
 
     def on_unrouted(self, messages: list[Message], round_index: int) -> None:
         for msg in messages:
@@ -169,21 +193,8 @@ class ResendPolicy(CongestionPolicy):
                 )
                 self._count_retried()
 
-    def backlog(self) -> list[Message]:
-        # Called at the start of a round; release everything due.  The
-        # network simulator passes the round index via ``due_round``.
-        ready = [p.message for p in self._pending]
-        self._pending.clear()
-        return ready
 
-    def backlog_due(self, round_index: int) -> list[Message]:
-        """Release only the retransmissions whose timeout has expired."""
-        due = [p.message for p in self._pending if p.resend_round <= round_index]
-        self._pending = [p for p in self._pending if p.resend_round > round_index]
-        return due
-
-
-class RetryPolicy(CongestionPolicy):
+class RetryPolicy(_TimedRelease):
     """Retry with exponential backoff, jitter, and a per-message TTL.
 
     An unrouted message waits ``base_delay · backoff_factor^(a−1)``
@@ -225,8 +236,6 @@ class RetryPolicy(CongestionPolicy):
         self.jitter = jitter
         self.ttl = ttl
         self._rng = default_rng(seed)
-        self._pending: list[_Pending] = []
-        self._attempts: dict[int, int] = {}
         self._first_failure: dict[int, int] = {}
 
     def delay_for(self, attempts: int) -> int:
@@ -256,18 +265,23 @@ class RetryPolicy(CongestionPolicy):
             len(self._pending), t=round_index
         )
 
-    def backlog(self) -> list[Message]:
-        ready = [p.message for p in self._pending]
-        self._pending.clear()
-        return ready
-
-    def backlog_due(self, round_index: int) -> list[Message]:
-        """Release the retries whose backoff window has elapsed."""
-        due = [p.message for p in self._pending if p.resend_round <= round_index]
-        self._pending = [p for p in self._pending if p.resend_round > round_index]
-        return due
-
     @property
     def in_flight(self) -> int:
         """Messages currently waiting out a backoff window."""
         return len(self._pending)
+
+
+def place_backlog(
+    fresh: list[Message | None], backlog: list[Message], rng
+) -> tuple[list[Message | None], list[Message]]:
+    """Put ``backlog`` into the idle slots of one round's ``fresh``
+    inputs, the idle slots taken in one ``rng.shuffle`` order.  Returns
+    the inputs to inject and the overflow that found no idle slot."""
+    injected = list(fresh)
+    if not backlog:
+        return injected, []
+    idle = [i for i, msg in enumerate(injected) if msg is None]
+    rng.shuffle(idle)
+    for msg, slot in zip(backlog, idle):
+        injected[slot] = msg
+    return injected, backlog[len(idle):]

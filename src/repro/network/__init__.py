@@ -8,10 +8,11 @@ simulations that exercise that use case:
 
 * :mod:`repro.network.traffic` — Bernoulli, fixed-k, and hot-spot
   workload generators;
-* :mod:`repro.network.simulate` — single-switch and two-level
-  concentration-tree simulations under a congestion policy, with
-  throughput/loss statistics (the light-load equivalence experiment of
-  Section 1 lives here);
+* :mod:`repro.network.simulate` — single-switch simulations under a
+  congestion policy, with throughput/loss statistics (the light-load
+  equivalence experiment of Section 1 lives here);
+* :mod:`repro.network.funnel` — multi-level concentration funnels
+  with per-level loss accounting;
 * :mod:`repro.network.flows` — the event-driven flow-level layer:
   TCP-ish flows with heavy-tailed sizes against pluggable fabric
   stages, measuring flow-completion times (``repro flows``).
@@ -47,7 +48,6 @@ from repro.network.knockout import (
     uniform_packet_traffic,
 )
 from repro.network.simulate import (
-    ConcentrationTree,
     RoundResult,
     SwitchSimulation,
     compare_partial_vs_perfect,
@@ -83,7 +83,6 @@ __all__ = [
     "Packet",
     "knockout_loss_curve",
     "uniform_packet_traffic",
-    "ConcentrationTree",
     "FixedKTraffic",
     "HotSpotTraffic",
     "RoundResult",

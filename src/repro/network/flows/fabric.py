@@ -29,14 +29,14 @@ Four stages cover the head-to-head study:
   concentrator switch from the registry guards the uplinks.  Routing
   goes through the engine's batched setup path (one row per cycle, the
   compiled plan amortized across cycles), and a
-  :class:`repro.faults.FaultScenario` applies exactly as in the
-  round-synchronous simulator: structural faults wrap the switch in a
-  :class:`~repro.faults.injector.FaultySwitch`, flaky pins flip per
-  cycle with the scenario's own seed.
+  :class:`repro.faults.FaultScenario` applies through the hook the
+  round-synchronous simulator uses,
+  :func:`repro.faults.injector.apply_scenario`.
 * :class:`KnockoutFabric` — a knockout-style output-buffered stage:
   cells bound for the same egress contend through an n-to-L
   concentrator (the knockout principle), winners enter a bounded FIFO
-  drained one cell per cycle.
+  drained one cell per cycle (:class:`repro.network.knockout.KnockoutSwitch`
+  is its packet interface).
 * :class:`FatTreeFabric` — the binary fat-tree up-path of
   :mod:`repro.network.fattree`, survivors per cycle via
   :meth:`~repro.network.fattree.FatTree.route_round_detailed`.
@@ -55,7 +55,6 @@ from collections import deque
 import numpy as np
 
 from repro import obs
-from repro._util.rng import default_rng
 from repro.errors import ConfigurationError
 from repro.network.fattree import FatTree, universal_capacity
 from repro.switches.base import ConcentratorSwitch
@@ -139,22 +138,13 @@ class ConcentratorFabric(FabricStage):
                  remap_outputs: bool = False):
         self.name = "concentrator"
         self.n = switch.n
-        self.switch = switch
-        self._flaky: tuple = ()
-        self._fault_rng = None
+        self.switch, self._flaky = switch, None
         if scenario is not None:
             # Imported lazily: repro.faults imports network modules for
             # its resilience measurements.
-            from repro.faults.injector import FaultySwitch
+            from repro.faults.injector import apply_scenario
 
-            structural = scenario.structural()
-            if structural.fault_count:
-                self.switch = FaultySwitch(
-                    switch, structural, remap_outputs=remap_outputs
-                )
-            self._flaky = tuple(scenario.flaky_pins())
-            if self._flaky:
-                self._fault_rng = default_rng(scenario.seed)
+            self.switch, self._flaky = apply_scenario(switch, scenario, remap_outputs)
 
     def describe(self) -> dict:
         out = super().describe()
@@ -166,24 +156,12 @@ class ConcentratorFabric(FabricStage):
         self, flow: np.ndarray, dst: np.ndarray
     ) -> tuple[np.ndarray, list[int]]:
         occupied = self._check(flow, dst)
-        effective = occupied
-        garbled = None
-        if self._flaky:
-            # Same semantics as SwitchSimulation._flip_flaky: a flip on
-            # an occupied pin garbles the cell before the switch sees
-            # it; a flip on an idle pin raises a ghost that occupies
-            # capacity but delivers nothing.
-            effective = occupied.copy()
-            garbled = np.zeros(self.n, dtype=bool)
-            for pin, p in self._flaky:
-                if self._fault_rng.random() >= p:
-                    continue
-                if occupied[pin]:
-                    garbled[pin] = True
-                effective[pin] = not occupied[pin]
+        effective, garbled = occupied, []
+        if self._flaky is not None:
+            effective, garbled = self._flaky.flip(occupied)
         routing = self.switch.setup_batch(effective[None, :])
         fate = _fates(occupied, routing.input_to_output[0] >= 0, REJECTED)
-        if garbled is not None:
+        if garbled:
             fate[garbled] = FAULTED
         return fate, []
 
@@ -196,7 +174,8 @@ class KnockoutFabric(FabricStage):
     enter egress ``o``'s FIFO of depth ``fifo_depth``, losers and FIFO
     overflow are rejected.  Every non-empty FIFO then transmits one
     cell — those are the cycle's deliveries, so a cell's fabric latency
-    is its queueing delay.
+    is its queueing delay.  ``knocked_out`` and ``overflowed`` count
+    the two kinds of rejection since construction.
     """
 
     def __init__(self, n: int, *, lanes: int = 4, fifo_depth: int = 16,
@@ -212,10 +191,19 @@ class KnockoutFabric(FabricStage):
         self.lanes = min(lanes, n)
         self.fifo_depth = fifo_depth
         factory = concentrator_factory or PerfectConcentrator
-        self._picker = factory(n, self.lanes) if self.lanes < n else None
+        self._picker = factory(n, self.lanes)
+        if (self._picker.n, self._picker.m) != (n, self.lanes):
+            raise ConfigurationError(
+                f"concentrator_factory must build an {n}-to-{self.lanes} "
+                f"switch (got {self._picker.n}-to-{self._picker.m})"
+            )
+        # Up to this many contenders the picker routes every one.
+        self._capacity = self._picker.spec.guaranteed_capacity
         # Per-egress FIFOs of flow ids, and their total length.
         self._fifos: list[deque[int]] = [deque() for _ in range(n)]
         self._held = 0
+        self.knocked_out = 0
+        self.overflowed = 0
 
     def describe(self) -> dict:
         out = super().describe()
@@ -226,21 +214,34 @@ class KnockoutFabric(FabricStage):
     def in_flight(self) -> int:
         return self._held
 
+    def queue_lengths(self) -> list[int]:
+        return [len(fifo) for fifo in self._fifos]
+
+    def drain(self) -> list[int]:
+        """Empty every FIFO (end of a run); returns the flow ids held,
+        egress by egress in FIFO order."""
+        held = [fid for fifo in self._fifos for fid in fifo]
+        for fifo in self._fifos:
+            fifo.clear()
+        self._held = 0
+        return held
+
     def step(
         self, flow: np.ndarray, dst: np.ndarray
     ) -> tuple[np.ndarray, list[int]]:
         occupied = self._check(flow, dst)
         won = occupied
-        if self._picker is not None:
-            # Knock out: one picker row per egress with more contenders
-            # than lanes, all in one batched setup.
-            hot = np.flatnonzero(
-                np.bincount(dst[occupied], minlength=self.n) > self.lanes
-            )
-            if hot.size:
-                rows = dst == hot[:, None]
-                io = self._picker.setup_batch(rows).input_to_output
-                won = occupied & ~(rows & (io < 0)).any(axis=0)
+        # Knock out: one picker row per egress with more contenders
+        # than the picker guarantees to route, all in one batched setup.
+        hot = np.flatnonzero(
+            np.bincount(dst[occupied], minlength=self.n) > self._capacity
+        )
+        if hot.size:
+            rows = dst == hot[:, None]
+            io = self._picker.setup_batch(rows).input_to_output
+            lost = (rows & (io < 0)).any(axis=0)
+            won = occupied & ~lost
+            self.knocked_out += int(lost.sum())
         fate = _fates(occupied, won, REJECTED)
         # Winners queue in port order; a full FIFO bounces the arrival
         # before this cycle's drain frees a slot.
@@ -250,6 +251,7 @@ class KnockoutFabric(FabricStage):
             fifo = self._fifos[dsts[port]]
             if len(fifo) >= self.fifo_depth:
                 fate[port] = REJECTED
+                self.overflowed += 1
                 continue
             if not fifo:
                 fresh[dsts[port]] = port

@@ -1,10 +1,12 @@
 """Arbitrary-depth concentration funnels.
 
-Generalises :class:`~repro.network.simulate.ConcentrationTree` to any
-number of levels: level l consists of identical switches whose outputs
-are concatenated into level l+1's inputs.  Models the fan-in side of a
+Any number of levels: level l consists of switches whose outputs are
+concatenated into level l+1's inputs.  Models the fan-in side of a
 large routing network (e.g. many boards feeding a cabinet feeding a
-spine link), with per-level loss and latency accounting.
+spine link), with per-level loss and latency accounting.  The two-level
+concentration tree — a bank of leaf switches feeding one root — is
+``FunnelNetwork([leaves, [root]])``; the messages it loses are the sum
+of the per-level ``lost`` counts.
 """
 
 from __future__ import annotations

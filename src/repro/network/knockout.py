@@ -15,13 +15,14 @@ independent of N).
 Packets are (destination, payload) pairs; one slot routes at most one
 packet per input.  Each output port has an N-input concentrator with
 ``L`` outputs feeding a FIFO of configurable depth, drained at one
-packet per slot (the output line rate).
+packet per slot (the output line rate).  The model itself is the flow
+simulator's :class:`~repro.network.flows.fabric.KnockoutFabric`;
+:class:`KnockoutSwitch` is its packet interface.
 """
 
 from __future__ import annotations
 
 import logging
-from collections import deque
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -29,8 +30,8 @@ import numpy as np
 
 from repro import obs
 from repro.errors import ConfigurationError
+from repro.network.flows.fabric import ABSORBED, DELIVERED, KnockoutFabric
 from repro.switches.base import ConcentratorSwitch
-from repro.switches.perfect import PerfectConcentrator
 
 logger = logging.getLogger(__name__)
 
@@ -67,6 +68,9 @@ class KnockoutSwitch:
     """An N-port output-buffered switch with per-output N-to-L
     concentrators.
 
+    A packet interface over the one knockout model,
+    :class:`~repro.network.flows.fabric.KnockoutFabric`.
+
     Parameters
     ----------
     ports:
@@ -76,7 +80,7 @@ class KnockoutSwitch:
     buffer_depth:
         Output FIFO capacity (packets); drained 1/slot.
     concentrator_factory:
-        Builds the N-to-L concentrator for each output; defaults to
+        Builds the N-to-L concentrator the outputs share; defaults to
         the perfect concentrator.  Passing a partial-concentrator
         factory reproduces the paper's cheaper switches in the role.
     """
@@ -89,98 +93,76 @@ class KnockoutSwitch:
         buffer_depth: int = 16,
         concentrator_factory: Callable[[int, int], ConcentratorSwitch] | None = None,
     ):
-        if ports < 1:
-            raise ConfigurationError(f"ports must be positive, got {ports}")
         if not 1 <= concentrator_outputs <= ports:
             raise ConfigurationError(
                 f"need 1 <= L <= N, got L={concentrator_outputs}, N={ports}"
             )
-        if buffer_depth < 1:
-            raise ConfigurationError("buffer_depth must be positive")
         self.ports = ports
         self.L = concentrator_outputs
         self.buffer_depth = buffer_depth
-        factory = concentrator_factory or PerfectConcentrator
-        self.concentrators = [
-            factory(ports, concentrator_outputs) for _ in range(ports)
-        ]
-        for conc in self.concentrators:
-            if conc.n != ports or conc.m != concentrator_outputs:
-                raise ConfigurationError(
-                    "concentrator_factory must build an N-to-L switch "
-                    f"(got {conc.n}-to-{conc.m})"
-                )
-        self._fifos: list[deque[Packet]] = [deque() for _ in range(ports)]
+        self.fabric = KnockoutFabric(
+            ports, lanes=concentrator_outputs, fifo_depth=buffer_depth,
+            concentrator_factory=concentrator_factory,
+        )
+        # Flow id of every queued packet; each slot's ids are
+        # ``base + input port``, with ``base`` advancing N per slot.
+        self._queued: dict[int, Packet] = {}
+        self._base = 0
         self.stats = KnockoutStats(per_output_delivered=[0] * ports)
 
     def step(self, packets: list[Packet | None]) -> list[Packet | None]:
         """Advance one slot: admit ``packets`` (one per input, None =
-        idle), run every output's concentrator, enqueue survivors, and
+        idle), knock out each output's excess, enqueue survivors, and
         drain one packet per output.  Returns the packets leaving on
         each output line this slot."""
         if len(packets) != self.ports:
             raise ConfigurationError(
                 f"expected {self.ports} input slots, got {len(packets)}"
             )
-        offered = sum(1 for p in packets if p is not None)
-        self.stats.offered += offered
-        reg = obs.get_registry()
-        knocked_before = self.stats.knocked_out
-        overflow_before = self.stats.buffer_overflow
-        delivered_before = self.stats.delivered
-
-        for out_port, conc in enumerate(self.concentrators):
-            valid = np.array(
-                [p is not None and p.destination == out_port for p in packets],
-                dtype=bool,
-            )
-            k = int(valid.sum())
-            if k == 0:
-                continue
-            routing = conc.setup(valid)
-            winners = [
-                packets[i]
-                for i in np.flatnonzero(valid)
-                if routing.input_to_output[i] >= 0
-            ]
-            self.stats.knocked_out += k - len(winners)
-            fifo = self._fifos[out_port]
-            for packet in winners:
-                if len(fifo) >= self.buffer_depth:
-                    self.stats.buffer_overflow += 1
-                else:
-                    fifo.append(packet)
+        flow = np.full(self.ports, -1, dtype=np.int64)
+        dst = flow.copy()
+        for port, packet in enumerate(packets):
+            if packet is not None:
+                flow[port], dst[port] = self._base + port, packet.destination
+        fabric, stats = self.fabric, self.stats
+        fate, surfaced = fabric.step(flow, dst)
 
         outputs: list[Packet | None] = [None] * self.ports
-        for out_port, fifo in enumerate(self._fifos):
-            if fifo:
-                outputs[out_port] = fifo.popleft()
-                self.stats.delivered += 1
-                self.stats.per_output_delivered[out_port] += 1
+        for packet in map(self._queued.pop, surfaced):
+            outputs[packet.destination] = packet
+        for port in np.flatnonzero(fate == ABSORBED).tolist():
+            self._queued[self._base + port] = packets[port]
+        for port in np.flatnonzero(fate == DELIVERED).tolist():
+            outputs[packets[port].destination] = packets[port]
+        self._base += self.ports
+
+        offered = int((flow >= 0).sum())
+        knocked = fabric.knocked_out - stats.knocked_out
+        overflow = fabric.overflowed - stats.buffer_overflow
+        delivered = self._deliver([p for p in outputs if p is not None])
+        stats.offered += offered
+        stats.knocked_out, stats.buffer_overflow = fabric.knocked_out, fabric.overflowed
+        reg = obs.get_registry()
         if reg.enabled:
             reg.counter("knockout.offered").inc(offered)
-            reg.counter("knockout.knocked_out").inc(
-                self.stats.knocked_out - knocked_before
-            )
-            reg.counter("knockout.buffer_overflow").inc(
-                self.stats.buffer_overflow - overflow_before
-            )
-            reg.counter("knockout.delivered").inc(
-                self.stats.delivered - delivered_before
-            )
+            reg.counter("knockout.knocked_out").inc(knocked)
+            reg.counter("knockout.buffer_overflow").inc(overflow)
+            reg.counter("knockout.delivered").inc(delivered)
         return outputs
 
+    def _deliver(self, packets: list[Packet]) -> int:
+        for packet in packets:
+            self.stats.per_output_delivered[packet.destination] += 1
+        self.stats.delivered += len(packets)
+        return len(packets)
+
     def queue_lengths(self) -> list[int]:
-        return [len(f) for f in self._fifos]
+        return self.fabric.queue_lengths()
 
     def drain(self) -> list[Packet]:
         """Drain all FIFOs (end of a run); counts as delivered."""
-        leftovers: list[Packet] = []
-        for out_port, fifo in enumerate(self._fifos):
-            while fifo:
-                leftovers.append(fifo.popleft())
-                self.stats.delivered += 1
-                self.stats.per_output_delivered[out_port] += 1
+        leftovers = [self._queued.pop(fid) for fid in self.fabric.drain()]
+        self._deliver(leftovers)
         return leftovers
 
 

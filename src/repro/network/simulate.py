@@ -1,14 +1,10 @@
 """Round-based network simulations built around concentrator switches.
 
-Two scenarios:
-
-* :class:`SwitchSimulation` — a single switch fed by a traffic
-  generator under a congestion policy; measures delivered/lost/retried
-  messages per round.  This is the intro's "concentrate few messages on
-  many lines onto fewer output lines" setting.
-* :class:`ConcentrationTree` — a two-level funnel of switches: a bank
-  of first-level switches whose outputs feed one second-level switch,
-  modelling a fan-in stage of a larger routing network.
+:class:`SwitchSimulation` drives a single switch with a traffic
+generator under a congestion policy and measures delivered/lost/retried
+messages per round.  This is the intro's "concentrate few messages on
+many lines onto fewer output lines" setting; multi-level funnels of
+switches live in :mod:`repro.network.funnel`.
 
 :func:`compare_partial_vs_perfect` reproduces the Section 1 claim that
 an ``(n/α, m/α, α)`` partial concentrator can stand in for an n-by-m
@@ -27,8 +23,7 @@ import numpy as np
 from repro import obs
 from repro._util.rng import default_rng
 from repro.errors import ConfigurationError
-from repro.messages.congestion import CongestionPolicy, DropPolicy
-from repro.messages.message import Message
+from repro.messages.congestion import CongestionPolicy, DropPolicy, place_backlog
 from repro.obs.live.merge import merge_portable, portable_snapshot, roundtrip
 from repro.switches.base import ConcentratorSwitch
 
@@ -121,22 +116,13 @@ class SwitchSimulation:
             raise ConfigurationError(
                 f"traffic width {traffic.n} != switch inputs {switch.n}"
             )
-        self.switch = switch
-        self._flaky: tuple = ()
-        self._fault_rng = None
+        self.switch, self._flaky = switch, None
         if scenario is not None:
             # Imported lazily: repro.faults imports the simulator for
             # its resilience measurements.
-            from repro.faults.injector import FaultySwitch
+            from repro.faults.injector import apply_scenario
 
-            structural = scenario.structural()
-            if structural.fault_count:
-                self.switch = FaultySwitch(
-                    switch, structural, remap_outputs=remap_outputs
-                )
-            self._flaky = scenario.flaky_pins()
-            if self._flaky:
-                self._fault_rng = default_rng(scenario.seed)
+            self.switch, self._flaky = apply_scenario(switch, scenario, remap_outputs)
         self.traffic = traffic
         self.policy = policy if policy is not None else DropPolicy()
         self.rng = default_rng(seed)
@@ -156,29 +142,6 @@ class SwitchSimulation:
         )
         return summary
 
-    def _flip_flaky(
-        self, injected: list[Message | None], valid: np.ndarray
-    ) -> tuple[np.ndarray, list[Message], int]:
-        """Apply one round of Bernoulli pin flips.
-
-        A flip on an occupied pin garbles the message (it never reaches
-        the switch — returned as ``faulted`` for the policy to handle);
-        a flip on an idle pin raises a ghost signal that occupies switch
-        capacity but delivers nothing.
-        """
-        if not self._flaky:
-            return valid, [], 0
-        faulted: list[Message] = []
-        effective = valid.copy()
-        for pin, p in self._flaky:
-            if self._fault_rng.random() >= p:
-                continue
-            if valid[pin]:
-                faulted.append(injected[pin])
-                injected[pin] = None
-            effective[pin] = not valid[pin]
-        return effective, faulted, int(effective.sum() - (valid.sum() - len(faulted)))
-
     def _run_round(
         self, round_index: int, summary: SimulationSummary, reg
     ) -> None:
@@ -186,25 +149,18 @@ class SwitchSimulation:
         offered = sum(1 for msg in fresh if msg is not None)
         self.policy.on_offered(offered)
 
-        # Merge the policy's backlog into idle input slots.  Policies
-        # with timed release (ResendPolicy, RetryPolicy) expose
-        # ``backlog_due``; the rest release everything.
-        if hasattr(self.policy, "backlog_due"):
-            backlog = self.policy.backlog_due(round_index)
-        else:
-            backlog = self.policy.backlog()
-        injected = list(fresh)
-        overflow: list[Message] = []
-        if backlog:
-            idle = [i for i, msg in enumerate(injected) if msg is None]
-            self.rng.shuffle(idle)
-            for msg, slot in zip(backlog, idle):
-                injected[slot] = msg
-            overflow = backlog[len(idle):]
-
+        # Merge the policy's due backlog into idle input slots.
+        injected, overflow = place_backlog(
+            fresh, self.policy.backlog_due(round_index), self.rng
+        )
         valid = np.array([msg is not None for msg in injected], dtype=bool)
-        effective, faulted_msgs, ghosts = self._flip_flaky(injected, valid)
-        real = np.array([msg is not None for msg in injected], dtype=bool)
+        effective, real, faulted_msgs, ghosts = valid, valid, [], 0
+        if self._flaky is not None:
+            effective, garbled = self._flaky.flip(valid)
+            faulted_msgs = [injected[pin] for pin in garbled]
+            real = valid.copy()
+            real[garbled] = False
+            ghosts = int((effective & ~valid).sum())
         routing = self.switch.setup(effective)
         # Only real messages count: ghosts raised by flaky pins consume
         # switch capacity but deliver nothing.
@@ -220,11 +176,11 @@ class SwitchSimulation:
         # its counters are this round's losses, retries, and expiries.
         dropped_before = self.policy.stats.dropped
         retried_before = self.policy.stats.retried
-        expired_before = getattr(self.policy.stats, "expired", 0)
+        expired_before = self.policy.stats.expired
         self.policy.on_unrouted(unrouted, round_index)
         lost = self.policy.stats.dropped - dropped_before
         retried = self.policy.stats.retried - retried_before
-        expired = getattr(self.policy.stats, "expired", 0) - expired_before
+        expired = self.policy.stats.expired - expired_before
 
         faulted = len(faulted_msgs)
         summary.rounds += 1
@@ -258,54 +214,6 @@ class SwitchSimulation:
                 reg.counter("sim.faulted").inc(faulted)
             if expired:
                 reg.counter("sim.expired").inc(expired)
-
-
-class ConcentrationTree:
-    """A two-level funnel: ``fan_in`` leaf switches feed one root.
-
-    Each leaf concentrates its n inputs onto m outputs; the root
-    concentrates the concatenated leaf outputs onto its own m outputs.
-    Models a fan-in stage of a multistage routing network.
-    """
-
-    def __init__(self, leaves: list[ConcentratorSwitch], root: ConcentratorSwitch):
-        total = sum(leaf.m for leaf in leaves)
-        if total != root.n:
-            raise ConfigurationError(
-                f"root expects {root.n} inputs but leaves deliver {total}"
-            )
-        self.leaves = leaves
-        self.root = root
-
-    @property
-    def n(self) -> int:
-        return sum(leaf.n for leaf in self.leaves)
-
-    @property
-    def m(self) -> int:
-        return self.root.m
-
-    def route(self, messages: list[Message | None]) -> tuple[list[Message | None], int]:
-        """Route one message set through both levels; returns the root
-        outputs and the count of messages lost inside the tree."""
-        if len(messages) != self.n:
-            raise ConfigurationError(f"expected {self.n} messages, got {len(messages)}")
-        lost = 0
-        mid: list[Message | None] = []
-        offset = 0
-        for leaf in self.leaves:
-            chunk = messages[offset : offset + leaf.n]
-            offset += leaf.n
-            outputs = leaf.route(chunk)
-            lost += sum(1 for msg in chunk if msg is not None) - sum(
-                1 for msg in outputs if msg is not None
-            )
-            mid.extend(outputs)
-        root_out = self.root.route(mid)
-        lost += sum(1 for msg in mid if msg is not None) - sum(
-            1 for msg in root_out if msg is not None
-        )
-        return root_out, lost
 
 
 def _random_k_subsets(

@@ -100,6 +100,48 @@ class TestCompileScenario:
         with pytest.raises(FaultInjectionError):
             compile_scenario(scenario, sw)
 
+    def test_rejects_duplicate_flaky_pin(self):
+        sw = RevsortSwitch(16, 12)
+        scenario = FaultScenario(
+            name="bad", faults=(FlakyPinFault(3, 0.2), FlakyPinFault(3, 0.5))
+        )
+        with pytest.raises(FaultInjectionError, match="already flaky"):
+            compile_scenario(scenario, sw)
+
+
+#: Flaky-only scenarios a 16-input switch cannot hold.
+BAD_FLAKY = {
+    "negative-pin": (FlakyPinFault(-1, 0.5),),
+    "pin-beyond-n": (FlakyPinFault(99, 0.5),),
+    "p-above-one": (FlakyPinFault(2, 2.5),),
+    "duplicate-pin": (FlakyPinFault(4, 1.0), FlakyPinFault(4, 1.0)),
+}
+
+
+def _round_simulator(switch, scenario):
+    traffic = BernoulliTraffic(switch.n, 1.0, payload_bits=0, seed=0)
+    SwitchSimulation(
+        switch, traffic, RetryPolicy(seed=0), scenario=scenario
+    ).run(3)
+
+
+def _flow_fabric(switch, scenario):
+    from repro.network.flows import ConcentratorFabric
+
+    stage = ConcentratorFabric(switch, scenario=scenario)
+    stage.step(np.arange(16), np.zeros(16, dtype=np.int64))
+
+
+@pytest.mark.parametrize("simulate", [_round_simulator, _flow_fabric])
+@pytest.mark.parametrize("name", list(BAD_FLAKY))
+def test_bad_flaky_only_scenario_rejected(simulate, name):
+    """A scenario of flaky pins alone is validated like any other, in
+    both simulators: no silent wrap of pin -1 onto pin n-1, no bare
+    IndexError, no probability above 1, no pin flipped twice."""
+    scenario = FaultScenario(name=name, faults=BAD_FLAKY[name], seed=1)
+    with pytest.raises(FaultInjectionError):
+        simulate(RevsortSwitch(16, 12), scenario)
+
 
 class TestFaultySwitch:
     def test_empty_scenario_matches_healthy(self, rng):

@@ -19,6 +19,12 @@ import numpy as np
 import pytest
 
 from repro._util.rng import default_rng
+from repro.faults.scenario import (
+    DeadOutputFault,
+    FaultScenario,
+    FlakyPinFault,
+    StuckAtFault,
+)
 from repro.messages.congestion import DropPolicy
 from repro.network.flows import ConcentratorFabric, FlowSim, one_shot_flows
 from repro.network.simulate import SwitchSimulation
@@ -48,6 +54,21 @@ class _FlowFrontTraffic(TrafficGenerator):
         active = np.flatnonzero(self.sizes > self._round)
         self._round += 1
         return active
+
+
+#: Structural faults every design can hold (no interior kills, which
+#: need a stage plan) plus flaky pins listed out of pin order.
+MIXED = FaultScenario(
+    name="mixed",
+    faults=(
+        FlakyPinFault(9, 0.4),
+        DeadOutputFault(2),
+        StuckAtFault(14, 1),
+        FlakyPinFault(1, 0.3),
+        StuckAtFault(6, 0),
+    ),
+    seed=4,
+)
 
 
 def _both_models(design: str, params: dict, sizes) -> tuple:
@@ -91,22 +112,19 @@ def test_saturated_front_matches(design, params):
     assert summary.lost == result.dropped_cells
 
 
-@pytest.mark.parametrize("design,params", DESIGNS)
-def test_per_cycle_front_is_identical(design, params):
-    """Stronger than totals: record each cycle's delivered count on
-    both sides and compare the full sequences."""
-    rng = default_rng(7)
-    sizes = rng.integers(1, 7, size=16)
-
+def _per_cycle_delivered(design, params, sizes, scenario=None):
+    """Each cycle's delivered count from both simulators, the fault
+    scenario (if any) applied to both."""
     round_sim = SwitchSimulation(
         build_switch(design, **params),
         _FlowFrontTraffic(sizes),
         policy=DropPolicy(),
+        scenario=scenario,
     )
-    summary = round_sim.run(rounds=int(sizes.max()))
+    summary = round_sim.run(rounds=int(max(sizes)))
     round_per_cycle = [r.delivered for r in summary.per_round]
 
-    stage = ConcentratorFabric(build_switch(design, **params))
+    stage = ConcentratorFabric(build_switch(design, **params), scenario=scenario)
     flow_per_cycle = []
 
     def checkpoint(sim, cycle):
@@ -119,5 +137,26 @@ def test_per_cycle_front_is_identical(design, params):
         backpressure=False,
         checkpoint=checkpoint,
     ).run()
+    return round_per_cycle, flow_per_cycle
 
+
+@pytest.mark.parametrize("design,params", DESIGNS)
+def test_per_cycle_front_is_identical(design, params):
+    """Stronger than totals: record each cycle's delivered count on
+    both sides and compare the full sequences."""
+    sizes = default_rng(7).integers(1, 7, size=16)
+    round_per_cycle, flow_per_cycle = _per_cycle_delivered(design, params, sizes)
+    assert flow_per_cycle == round_per_cycle
+
+
+@pytest.mark.parametrize("design,params", DESIGNS)
+def test_per_cycle_front_is_identical_under_faults(design, params):
+    """The same structural + flaky scenario on both sides: the shared
+    scenario hook gives both the same flip history, while routing
+    (scalar ``setup`` against ``setup_batch`` through the
+    ``FaultySwitch``) and delivery bookkeeping stay independent."""
+    sizes = default_rng(8).integers(2, 9, size=16)
+    round_per_cycle, flow_per_cycle = _per_cycle_delivered(
+        design, params, sizes, scenario=MIXED
+    )
     assert flow_per_cycle == round_per_cycle

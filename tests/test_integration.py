@@ -11,7 +11,7 @@ from repro.gates.hyperconc_gates import GateHyperconcentrator
 from repro.hardware.costs import table1
 from repro.messages.message import Message
 from repro.messages.serial_sim import BitSerialSimulator
-from repro.network.simulate import ConcentrationTree
+from repro.network.funnel import FunnelNetwork
 from repro.switches.columnsort_switch import ColumnsortSwitch
 from repro.switches.revsort_switch import RevsortSwitch
 from tests.conftest import random_bits
@@ -83,12 +83,12 @@ class TestMessagesThroughTree:
         from repro.switches.perfect import PerfectConcentrator
 
         root = PerfectConcentrator(16, 8)
-        tree = ConcentrationTree(leaves, root)
+        tree = FunnelNetwork([leaves, [root]])
         messages: list[Message | None] = [None] * 32
         for i in range(0, 32, 8):
             messages[i] = Message.from_int(i, 6)
-        outputs, lost = tree.route(messages)
-        assert lost == 0
+        outputs, levels = tree.route(messages)
+        assert sum(level.lost for level in levels) == 0
         values = sorted(m.to_int() for m in outputs if m is not None)
         assert values == [0, 8, 16, 24]
 

@@ -2,9 +2,11 @@
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
 from repro.errors import ConfigurationError
+from repro.network.flows.fabric import REJECTED, KnockoutFabric
 from repro.network.knockout import (
     KnockoutSwitch,
     Packet,
@@ -72,6 +74,47 @@ class TestSingleSlot:
     def test_wrong_width_rejected(self):
         with pytest.raises(ConfigurationError):
             KnockoutSwitch(4, 2).step([None] * 3)
+
+    def test_out_of_range_destinations_rejected(self):
+        """A packet for an output the switch does not have is an error,
+        not an offered packet that is neither delivered, lost nor
+        queued."""
+        switch = KnockoutSwitch(4, 2)
+        with pytest.raises(ConfigurationError, match="bad destination"):
+            switch.step([packet(0, 7), packet(1, -1), None, None])
+        with pytest.raises(ConfigurationError, match="bad destination"):
+            switch.step([None, packet(1, -1), None, None])
+
+
+class TestPartialPicker:
+    """Eight cells to one egress through the (16, 8, 7/8) Columnsort
+    picker: above its guaranteed capacity of 7, so the picker's own
+    routing decides.  Inputs {0..6, 8} are one of the 6,400 8-subsets
+    it routes only 7 of."""
+
+    PORTS = [0, 1, 2, 3, 4, 5, 6, 8]
+
+    @staticmethod
+    def factory(n, m):
+        return ColumnsortSwitch(8, 2, 8)
+
+    def test_fabric_knocks_out_what_the_picker_drops(self):
+        fabric = KnockoutFabric(16, lanes=8, concentrator_factory=self.factory)
+        flow = np.full(16, -1)
+        dst = np.full(16, -1)
+        flow[self.PORTS] = self.PORTS
+        dst[self.PORTS] = 3
+        fate, _ = fabric.step(flow, dst)
+        picked = self.factory(16, 8).setup(flow >= 0).input_to_output >= 0
+        assert list(fate[self.PORTS] == REJECTED) == list(~picked[self.PORTS])
+        assert fabric.knocked_out == 1
+
+    def test_switch_matches_the_scalar_picker(self):
+        switch = KnockoutSwitch(16, 8, concentrator_factory=self.factory)
+        packets = [packet(i, 3) if i in self.PORTS else None for i in range(16)]
+        switch.step(packets)
+        assert switch.stats.knocked_out == 1
+        assert sum(switch.queue_lengths()) == 6  # 7 winners, 1 on the line
 
 
 class TestConservation:

@@ -7,11 +7,9 @@ import pytest
 
 from repro.errors import ConfigurationError
 from repro.messages.congestion import BufferPolicy, DropPolicy, ResendPolicy
-from repro.network.simulate import (
-    ConcentrationTree,
-    SwitchSimulation,
-    compare_partial_vs_perfect,
-)
+from repro.messages.message import Message
+from repro.network.funnel import FunnelNetwork
+from repro.network.simulate import SwitchSimulation, compare_partial_vs_perfect
 from repro.network.traffic import BernoulliTraffic, FixedKTraffic, HotSpotTraffic
 from repro.switches.columnsort_switch import ColumnsortSwitch
 from repro.switches.hyperconcentrator import Hyperconcentrator
@@ -120,46 +118,41 @@ class TestSwitchSimulation:
             SwitchSimulation(Hyperconcentrator(8), FixedKTraffic(16, 4))
 
 
-class TestConcentrationTree:
+class TestTwoLevelFunnel:
+    """A bank of leaf switches feeding one root, as a two-level
+    :class:`FunnelNetwork`."""
+
     def test_two_level_funnel(self, rng):
         leaves = [PerfectConcentrator(16, 8) for _ in range(4)]
         root = PerfectConcentrator(32, 16)
-        tree = ConcentrationTree(leaves, root)
+        tree = FunnelNetwork([leaves, [root]])
         assert tree.n == 64 and tree.m == 16
 
-        messages: list[object | None] = [None] * 64
-        chosen = rng.choice(64, size=12, replace=False)
-        for i in chosen:
-            messages[int(i)] = object.__new__(object)
-        # Use real Messages for typed route():
-        from repro.messages.message import Message
-
-        messages = [None] * 64
-        for i in chosen:
+        messages: list[Message | None] = [None] * 64
+        for i in rng.choice(64, size=12, replace=False):
             messages[int(i)] = Message.from_int(int(i) % 16, 4)
-        outputs, lost = tree.route(messages)
+        outputs, levels = tree.route(messages)
         delivered = sum(1 for m in outputs if m is not None)
-        assert delivered + lost == 12
+        assert delivered + sum(level.lost for level in levels) == 12
 
     def test_light_load_no_tree_loss(self, rng):
         """k messages ≤ every stage's capacity: nothing lost."""
         leaves = [PerfectConcentrator(16, 8) for _ in range(4)]
         root = PerfectConcentrator(32, 16)
-        tree = ConcentrationTree(leaves, root)
-        from repro.messages.message import Message
+        tree = FunnelNetwork([leaves, [root]])
 
         messages: list[Message | None] = [None] * 64
         # 2 messages per leaf: within every capacity.
         for leaf in range(4):
             for j in range(2):
                 messages[leaf * 16 + j] = Message.from_int(j, 4)
-        outputs, lost = tree.route(messages)
-        assert lost == 0
+        outputs, levels = tree.route(messages)
+        assert sum(level.lost for level in levels) == 0
         assert sum(1 for m in outputs if m is not None) == 8
 
     def test_width_mismatch_rejected(self):
         with pytest.raises(ConfigurationError):
-            ConcentrationTree([PerfectConcentrator(8, 4)], PerfectConcentrator(8, 4))
+            FunnelNetwork([[PerfectConcentrator(8, 4)], [PerfectConcentrator(8, 4)]])
 
 
 class TestPartialVsPerfect:
