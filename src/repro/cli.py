@@ -1425,6 +1425,7 @@ def cmd_bench_compare(args: argparse.Namespace) -> int:
                     "delta": (
                         f"{v.delta_pct:+.1f}%" if v.delta_pct is not None else "-"
                     ),
+                    "host": "normalised" if v.normalised else "raw",
                     "status": v.status.upper() if v.regressed else v.status,
                 }
                 for v in verdicts
@@ -1475,6 +1476,7 @@ def cmd_obs_trace(args: argparse.Namespace) -> int:
     valid = _rng(args.seed).random((args.trials, switch.n)) < 0.5
     profile = None
     with obs.collecting(max_trace_events=args.max_spans) as registry:
+        registry.detail_spans = True  # one engine.stage bar per layer
         with obs.span("trace.run", switch=repr(switch), trials=args.trials):
             if args.profile:
                 with profiled() as profile:
@@ -1665,7 +1667,8 @@ def cmd_obs(args: argparse.Namespace) -> int:
         print(render_table(rows, title="repro.obs metric catalog"))
         print(
             "every span also fills a '<name>.seconds' histogram; "
-            "collect with --metrics-out on simulate/knockout/reproduce"
+            "collect with --metrics-out or --journal on simulate, certify, "
+            "compare, knockout, reproduce, faults sweep, flows and bench"
         )
     return 0
 
@@ -2014,6 +2017,7 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         help="collect repro.obs metrics and write a JSON snapshot here",
     )
+    _add_telemetry_flags(p)
     p.set_defaults(func=cmd_knockout)
 
     p = sub.add_parser(
@@ -2122,6 +2126,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="collect repro.obs metrics and write a JSON snapshot here "
         "(with --output, also adds a Metrics section to the report)",
     )
+    _add_telemetry_flags(p)
     p.set_defaults(func=cmd_reproduce)
 
     p = sub.add_parser(

@@ -13,7 +13,10 @@ design).
 
 from __future__ import annotations
 
+from contextlib import nullcontext
 from dataclasses import dataclass
+from time import perf_counter
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -21,6 +24,7 @@ from repro import obs
 from repro.engine import plan as plan_mod
 from repro.engine.plan import ComparatorPlan, FixedPermutation, StagePlan
 from repro.errors import ConcentrationError, ConfigurationError
+from repro.obs.metrics import NULL_HISTOGRAM
 
 
 @dataclass(frozen=True)
@@ -148,6 +152,39 @@ def _compile_steps(plan: StagePlan) -> tuple[tuple, np.ndarray | None]:
     return compiled
 
 
+class _WalkTimers(NamedTuple):
+    span: Callable  # Registry.span, or a no-op of the same signature
+    plan: object  # engine.run_plan.seconds histogram (or a null one)
+    stage: object  # engine.stage.seconds histogram (or a null one)
+
+
+_NO_SPAN = nullcontext()
+
+
+def _no_span(name: str, /, **meta: object) -> nullcontext:
+    return _NO_SPAN
+
+
+def _walk_timers(reg) -> _WalkTimers:
+    """How one plan walk reports its time to ``reg``.
+
+    A registry with ``detail_spans`` gets one ``engine.run_plan`` span
+    per call and one ``engine.stage`` child per layer (the spans fill
+    their ``.seconds`` histograms themselves).  Any other registry gets
+    no spans, only one ``engine.run_plan.seconds`` observation per call
+    and one ``engine.stage.seconds`` observation per layer: a span
+    costs tens of microseconds with a journal attached, a histogram
+    observation about one.  The null registry's histograms discard.
+    """
+    if reg.detail_spans:
+        return _WalkTimers(reg.span, NULL_HISTOGRAM, NULL_HISTOGRAM)
+    return _WalkTimers(
+        _no_span,
+        reg.histogram("engine.run_plan.seconds"),
+        reg.histogram("engine.stage.seconds"),
+    )
+
+
 def run_plan_sparse(
     plan: StagePlan, valid: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -200,7 +237,9 @@ def _run_plan_sparse_flat(
 
     steps, finish = _compile_steps(plan)
     grp = np.zeros((batch, 0), dtype=bool)
-    with obs.span(
+    timers = _walk_timers(obs.get_registry())
+    started = perf_counter()
+    with timers.span(
         "engine.run_plan",
         plan=str(plan.key), batch=batch, valid=int(flat_idx.size),
     ):
@@ -208,10 +247,11 @@ def _run_plan_sparse_flat(
         for layer, (entry, n_chips, width, rank_dt, mask, flat) in enumerate(
             steps
         ):
-            with obs.span(
+            with timers.span(
                 "engine.stage",
                 kind="chip", layer=layer, chips=n_chips, width=width,
             ):
+                layer_started = perf_counter()
                 slots = n_chips * width
                 if grp.shape[1] != slots:
                     grp = np.zeros((batch, slots), dtype=bool)
@@ -234,7 +274,9 @@ def _run_plan_sparse_flat(
                         flat_idx[keep], rows[keep], cols[keep], coord[keep]
                     )
                     row_base.clear()
+                timers.stage.observe(perf_counter() - layer_started)
         pos = coord if finish is None else finish[coord]
+    timers.plan.observe(perf_counter() - started)
     return flat_idx, rows, cols, pos
 
 
@@ -320,11 +362,14 @@ def run_comparator_plan(plan: ComparatorPlan, valid: np.ndarray) -> np.ndarray:
     bits = valid.astype(np.int8)
     # wire_holds[b, w] = the input whose message is on wire w.
     wire_holds = np.broadcast_to(np.arange(n, dtype=np.int64), (batch, n)).copy()
-    with obs.span("engine.run_plan", plan=str(plan.key), batch=batch,
-                  valid=int(valid.sum())):
+    timers = _walk_timers(obs.get_registry())
+    started = perf_counter()
+    with timers.span("engine.run_plan", plan=str(plan.key), batch=batch,
+                     valid=int(valid.sum())):
         for layer, (hi, lo) in enumerate(plan.stages):
-            with obs.span("engine.stage", kind="comparator", layer=layer,
-                          comparators=int(hi.size)):
+            with timers.span("engine.stage", kind="comparator", layer=layer,
+                             comparators=int(hi.size)):
+                layer_started = perf_counter()
                 bhi, blo = bits[:, hi], bits[:, lo]
                 swap = bhi < blo
                 bits[:, hi] = np.where(swap, blo, bhi)
@@ -332,6 +377,8 @@ def run_comparator_plan(plan: ComparatorPlan, valid: np.ndarray) -> np.ndarray:
                 whi, wlo = wire_holds[:, hi], wire_holds[:, lo]
                 wire_holds[:, hi] = np.where(swap, wlo, whi)
                 wire_holds[:, lo] = np.where(swap, whi, wlo)
+                timers.stage.observe(perf_counter() - layer_started)
+    timers.plan.observe(perf_counter() - started)
     position_of = np.empty((batch, n), dtype=np.int64)
     np.put_along_axis(
         position_of,

@@ -204,6 +204,9 @@ class KnockoutFabric(FabricStage):
         self._held = 0
         self.knocked_out = 0
         self.overflowed = 0
+        # (registry, its flows.fifo_depth series): resolved once per
+        # collecting registry, not by key on every cycle.
+        self._fifo_depth: tuple = (None, None)
 
     def describe(self) -> dict:
         out = super().describe()
@@ -273,7 +276,11 @@ class KnockoutFabric(FabricStage):
         # losers knock out) — one sample per fabric cycle.
         reg = obs.get_registry()
         if reg.enabled:
-            reg.series("flows.fifo_depth", fabric=self.name).append(self._held)
+            if self._fifo_depth[0] is not reg:
+                self._fifo_depth = (
+                    reg, reg.series("flows.fifo_depth", fabric=self.name)
+                )
+            self._fifo_depth[1].append(self._held)
         return fate, surfaced
 
 

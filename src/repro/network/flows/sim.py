@@ -148,6 +148,51 @@ class FlowSimResult:
         return out
 
 
+class _LazyCounter:
+    """A counter created on its first non-zero increment."""
+
+    __slots__ = ("_make", "_counter")
+
+    def __init__(self, make: Callable[[], object]):
+        self._make = make
+        self._counter = None
+
+    def inc(self, amount: int) -> None:
+        if amount:
+            if self._counter is None:
+                self._counter = self._make()
+            self._counter.inc(amount)
+
+
+class _CycleMetrics:
+    """The per-cycle ``flows.*`` metric handles of one run, resolved
+    once per run rather than by key on every cycle.
+
+    The offered/delivered counters and the series exist from the first
+    cycle on; the dropped/blocked/faulted counters are created on
+    their first non-zero increment, so a run's snapshot holds exactly
+    the keys that per-cycle lookups would have created.
+    """
+
+    def __init__(self, reg, fabric: str):
+        self.offered = reg.counter("flows.cells_offered", fabric=fabric)
+        self.delivered = reg.counter("flows.cells_delivered", fabric=fabric)
+        self.dropped = _LazyCounter(
+            lambda: reg.counter("flows.cells_dropped", fabric=fabric)
+        )
+        self.blocked = _LazyCounter(
+            lambda: reg.counter("flows.cells_blocked", fabric=fabric)
+        )
+        self.faulted = _LazyCounter(
+            lambda: reg.counter("flows.cells_faulted", fabric=fabric)
+        )
+        self.queue_depth = reg.series("flows.queue_depth", fabric=fabric)
+        self.inflight = reg.series("flows.inflight_cells", fabric=fabric)
+        self.cwnd_mean = reg.series("flows.cwnd_mean", fabric=fabric)
+        self.delivery = reg.series("flows.delivery_rate", fabric=fabric)
+        self.drops = reg.series("flows.drop_rate", fabric=fabric)
+
+
 @dataclass
 class FlowSim:
     """Drive ``flows`` through ``stage`` to completion.
@@ -171,6 +216,7 @@ class FlowSim:
     _in_fabric: int = field(init=False, default=0)
     _arrived_cells: int = field(init=False, default=0)
     _cycle_scheduled: bool = field(init=False, default=False)
+    _metrics: _CycleMetrics | None = field(init=False, default=None, repr=False)
 
     def __post_init__(self) -> None:
         self._queue = EventQueue(clock=self.clock or SimClock())
@@ -244,6 +290,7 @@ class FlowSim:
             "offered": 0,
         }
         cycles = 0
+        self._metrics = None  # resolved by the first collected cycle
         with reg.span(
             "flows.run", fabric=self.stage.name, flows=len(self.flows)
         ):
@@ -383,32 +430,26 @@ class FlowSim:
             counts["dropped"] += lost
 
         if reg.enabled:
-            fabric = self.stage.name
-            reg.counter("flows.cells_offered", fabric=fabric).inc(len(picked))
-            reg.counter("flows.cells_delivered", fabric=fabric).inc(delivered)
-            if lost and not self.backpressure:
-                reg.counter("flows.cells_dropped", fabric=fabric).inc(lost)
-            if blocked:
-                reg.counter("flows.cells_blocked", fabric=fabric).inc(blocked)
-            if faulted:
-                reg.counter("flows.cells_faulted", fabric=fabric).inc(faulted)
+            metrics = self._metrics
+            if metrics is None:
+                metrics = self._metrics = _CycleMetrics(reg, self.stage.name)
+            metrics.offered.inc(len(picked))
+            metrics.delivered.inc(delivered)
+            if not self.backpressure:
+                metrics.dropped.inc(lost)
+            metrics.blocked.inc(blocked)
+            metrics.faulted.inc(faulted)
             # Per-cycle timeseries: the shape of congestion over the
             # run, not just its end-of-run totals.  The fabric cycle
             # index is the time axis (deterministic; see
             # repro.obs.timeseries for the decimation contract).
-            reg.series("flows.queue_depth", fabric=fabric).append(
-                self.stage.in_flight(), t=now
-            )
-            reg.series("flows.inflight_cells", fabric=fabric).append(
-                self._in_fabric, t=now
-            )
-            reg.series("flows.cwnd_mean", fabric=fabric).append(
+            metrics.queue_depth.append(self.stage.in_flight(), t=now)
+            metrics.inflight.append(self._in_fabric, t=now)
+            metrics.cwnd_mean.append(
                 sum(self._cwnd) / len(self._cwnd) if self._cwnd else 0.0,
                 t=now,
             )
-            reg.series("flows.delivery_rate", fabric=fabric).append(
-                delivered, t=now
-            )
-            reg.series("flows.drop_rate", fabric=fabric).append(
+            metrics.delivery.append(delivered, t=now)
+            metrics.drops.append(
                 lost if not self.backpressure else 0, t=now
             )

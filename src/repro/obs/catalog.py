@@ -67,10 +67,14 @@ CATALOG: tuple[MetricInfo, ...] = (
                "shards run in-process in the parent after exhausting "
                "their retry budget (graceful degradation)"),
     MetricInfo("engine.run_plan", "span", (),
-               "one batched plan execution (meta: plan, batch, valid)"),
+               "one batched plan execution (meta: plan, batch, valid); "
+               "a span only under Registry.detail_spans, else one "
+               "engine.run_plan.seconds observation per call"),
     MetricInfo("engine.stage", "span", (),
-               "one plan op inside engine.run_plan — chip layer, fixed "
-               "permutation, or comparator stage (meta: kind, layer, ...)"),
+               "one chip or comparator layer inside engine.run_plan "
+               "(meta: kind, layer, ...); a span only under "
+               "Registry.detail_spans, else one engine.stage.seconds "
+               "observation per layer"),
     # network/simulate
     MetricInfo("sim.rounds", "counter", (),
                "simulation rounds executed by SwitchSimulation.run"),

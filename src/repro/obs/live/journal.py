@@ -22,6 +22,17 @@ Line format (``schema="repro.obs/journal@1"`` on the ``start`` line)::
     {"seq": 7, "t": ..., "type": "heartbeat", "rss_kb": ..., "cpu_s": ...}
     {"seq": 8, "t": ..., "type": "end", "spans_dropped": 0}
 
+Frames reach the file in two classes.  *Boundary* frames (``start``,
+``env``, ``phase``, ``progress``, ``heartbeat``, supervision events
+such as ``worker_death``, ``snapshot`` and ``end``) flush the file at
+once, so a tail-reader sees every phase change and a killed run still
+names its last phase.  *Bulk* frames (``span`` and the metric frames
+``counter``, ``gauge``, ``hist`` and ``series``) are only buffered:
+they reach the file with the next boundary frame or at close.  The
+resource sampler's heartbeat is a boundary frame, so a killed run loses
+at most one heartbeat interval of bulk frames.  The in-memory sinks see
+every frame at once either way.
+
 Metric events are **deltas since the previous flush**, so replaying a
 journal (:func:`replay_journal`) reduces to exactly the live
 registry's final totals — including metrics merged in from worker
@@ -55,9 +66,15 @@ from repro.obs.tracing import SpanRecord
 JOURNAL_SCHEMA = "repro.obs/journal@1"
 
 #: Spans journaled per run before further spans are counted, not
-#: written (an n=4096 batch sweep emits one engine.stage span per chip
-#: layer per call — unbounded journals must stay impossible).
+#: written.  The engine's plan walkers only emit spans under a
+#: ``detail_spans`` registry (one ``engine.stage`` per chip layer per
+#: call, thousands in an n=4096 sweep), and no command may grow its
+#: journal without bound.
 DEFAULT_SPAN_LIMIT = 10_000
+
+#: Frame types written without flushing the file; every other type is
+#: a boundary frame and flushes (see the module docstring).
+BULK_FRAMES = frozenset({"span", "counter", "gauge", "hist", "series"})
 
 
 class EventJournal:
@@ -109,7 +126,8 @@ class EventJournal:
             self.seq += 1
             if self._fh is not None and not self._fh.closed:
                 self._fh.write(json.dumps(event) + "\n")
-                self._fh.flush()  # live tailers must see every line
+                if type not in BULK_FRAMES:
+                    self._fh.flush()
         for sink in self._sinks:
             try:
                 sink(event)
@@ -147,8 +165,10 @@ class JournalSink:
     Spans stream as they complete (the tracer's ``sink`` hook);
     counters/gauges/histograms are flushed as *deltas* whenever
     :meth:`flush` is called — long-running commands flush at every
-    progress step, so a tail-reader sees totals grow monotonically and
-    a killed run loses at most one flush interval of metric deltas.
+    phase and progress step, so a tail-reader sees totals grow
+    monotonically.  Both are bulk frames: they reach the file with the
+    next boundary frame, so a killed run loses at most one heartbeat
+    interval of them.
     """
 
     def __init__(self, registry: Registry, journal: EventJournal):
@@ -167,7 +187,9 @@ class JournalSink:
         reg = self.registry
         for key, counter in list(reg._counters.items()):
             delta = counter.value - self._counters.get(key, 0.0)
-            if delta:
+            # A counter's first frame goes out even at zero, so replay
+            # holds every key the registry does.
+            if delta or key not in self._counters:
                 self.journal.emit("counter", key=key, delta=delta)
                 self._counters[key] = counter.value
                 emitted += 1

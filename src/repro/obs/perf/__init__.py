@@ -43,7 +43,6 @@ from repro.obs.perf.trajectory import (
     TRAJECTORY_SCHEMA,
     TRAJECTORY_VERSION,
     append_records,
-    backfill_engine_report,
     latest_per_bench,
     read_trajectory,
     split_latest,
@@ -59,7 +58,6 @@ __all__ = [
     "analysis_report",
     "analyze_journal",
     "append_records",
-    "backfill_engine_report",
     "chrome_trace_document",
     "compare_records",
     "has_regressions",

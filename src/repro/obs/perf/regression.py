@@ -16,6 +16,15 @@ than the relative ``tolerance`` band::
 Benches with no history produce ``no-baseline`` verdicts (they pass:
 the first record of a new bench must be appendable), and an exact tie
 is always ``ok`` — including the degenerate all-zero-wall case.
+
+**Host normalisation.**  Records stamped with ``host_ref_s`` (the
+reference-loop time of :mod:`repro.obs.perf.hostref`) are compared in
+units of that loop: when the candidate and at least one earlier record
+of its bench carry it, the baseline is the median of
+``median_wall_s / host_ref_s`` over the trailing window of stamped
+records, and the candidate's ratio is taken on the same scale.  The
+reported ``baseline_wall_s`` is then that baseline at the candidate's
+host speed.  Unstamped records keep the raw comparison.
 """
 
 from __future__ import annotations
@@ -46,6 +55,7 @@ class Verdict:
     baseline_wall_s: float | None
     window: int  # historical records the baseline summarises
     ratio: float | None  # candidate / baseline (None without baseline)
+    normalised: bool = False  # compared in host_ref_s units
 
     @property
     def regressed(self) -> bool:
@@ -68,6 +78,7 @@ class Verdict:
             "window": self.window,
             "ratio": self.ratio,
             "delta_pct": self.delta_pct,
+            "normalised": self.normalised,
         }
 
 
@@ -106,21 +117,34 @@ def compare_records(
     for bench, record in sorted(candidates.items()):
         candidate_wall = float(record["median_wall_s"])
         prior = [r for r in history if r.get("bench") == bench]
-        tail = prior[-window:]
+        ref = _host_ref(record)
+        stamped = [r for r in prior if _host_ref(r)]
+        normalised = bool(ref and stamped)
+        tail = (stamped if normalised else prior)[-window:]
         if not tail:
             verdicts.append(
                 Verdict(bench, "no-baseline", candidate_wall, None, 0, None)
             )
             continue
+        # Normalised, each historical wall is rescaled to the
+        # candidate's host speed before taking the median.
         baseline_wall = statistics.median(
-            float(r["median_wall_s"]) for r in tail
+            float(r["median_wall_s"]) * (ref / _host_ref(r) if normalised else 1.0)
+            for r in tail
         )
         status, ratio = _judge(candidate_wall, baseline_wall, tolerance)
         verdicts.append(
-            Verdict(bench, status, candidate_wall, baseline_wall, len(tail), ratio)
+            Verdict(bench, status, candidate_wall, baseline_wall, len(tail),
+                    ratio, normalised)
         )
     verdicts.sort(key=lambda v: (_STATUS_ORDER[v.status], v.bench))
     return verdicts
+
+
+def _host_ref(record: dict) -> float | None:
+    """A record's positive ``host_ref_s``, else None."""
+    ref = record.get("host_ref_s")
+    return float(ref) if isinstance(ref, (int, float)) and ref > 0 else None
 
 
 def has_regressions(verdicts: list[Verdict]) -> bool:

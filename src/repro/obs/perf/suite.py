@@ -2,8 +2,9 @@
 
 A :class:`BenchSpec` names a deterministic workload; a *suite* is a
 tag selecting specs sized for a purpose — ``smoke`` runs in seconds
-for CI, ``full`` reproduces the paper-scale geometries of
-``BENCH_engine.json``.  Every workload draws from
+for CI, ``full`` runs the paper-scale n=4096 geometries, including the
+scalar ``setup`` oracle next to the batched engine so the ledger keeps
+the scalar-vs-batch ratio.  Every workload draws from
 :func:`repro._util.rng.default_rng` with a fixed per-record seed and
 re-seeds identically on every repeat, so repeats measure machine noise
 only, never workload variance.
@@ -16,6 +17,9 @@ only, never workload variance.
 * per-stage span timings from the ``repro.obs`` registry collected
   around the run (``engine.stage.seconds`` et al.);
 * plan-cache hit/miss deltas and the derived hit rate;
+* ``host_ref_s``, the host's time for a fixed reference loop taken
+  just before the repeats (:mod:`repro.obs.perf.hostref`), which
+  ``repro bench compare`` normalises by;
 * peak RSS (``resource.getrusage``) and — in a separate *untimed*
   pass so timings stay clean — tracemalloc's peak allocation and live
   block count.
@@ -36,7 +40,7 @@ import numpy as np
 from repro import obs
 from repro._util.bits import ilg
 from repro._util.rng import DEFAULT_SEED, default_rng
-from repro.errors import ConfigurationError
+from repro.errors import ConfigurationError, RoutingError
 from repro.obs.perf.trajectory import new_record
 
 
@@ -44,10 +48,13 @@ from repro.obs.perf.trajectory import new_record
 class Workload:
     """A built bench: ``run(rng)`` does the work and returns how many
     ``unit`` s it processed; ``meta`` is static spec context that lands
-    in the record (sizes, gate delays, theory lines)."""
+    in the record (sizes, gate delays, theory lines).  ``check``, when
+    set, runs once after the timed repeats and raises if their output
+    was wrong — verification that must not be timed."""
 
     run: Callable[[np.random.Generator], int]
     meta: dict = field(default_factory=dict)
+    check: Callable[[], None] | None = None
 
 
 @dataclass(frozen=True)
@@ -93,6 +100,45 @@ def _engine_factory(build: Callable[[], object], trials: int):
         return Workload(
             run=run,
             meta={"n": switch.n, "m": switch.m, "trials": trials},
+        )
+
+    return make
+
+
+def _scalar_factory(build: Callable[[], object], trials: int):
+    """Scalar oracle throughput: route the ``engine.*`` bench's
+    ``trials`` half-load rows through a plain ``setup`` loop.  Dividing
+    this bench's wall time by the same geometry's ``engine.*`` bench
+    gives the scalar-vs-batch ratio.  After timing, the last repeat's
+    routings must equal one ``setup_batch`` call on the same rows, or
+    the bench raises :class:`~repro.errors.RoutingError`."""
+
+    def make() -> Workload:
+        switch = build()
+        _warm(switch)
+        last: dict[str, np.ndarray] = {}
+
+        def run(rng: np.random.Generator) -> int:
+            valid = rng.random((trials, switch.n)) < 0.5
+            last["valid"] = valid
+            last["routing"] = np.stack(
+                [switch.setup(row).input_to_output for row in valid]
+            )
+            return trials
+
+        def check() -> None:
+            batch = switch.setup_batch(last["valid"]).input_to_output
+            wrong = np.flatnonzero((batch != last["routing"]).any(axis=1))
+            if wrong.size:
+                raise RoutingError(
+                    f"{switch!r}: scalar setup and setup_batch disagree on "
+                    f"{wrong.size} of {trials} trials (first: {int(wrong[0])})"
+                )
+
+        return Workload(
+            run=run,
+            meta={"n": switch.n, "m": switch.m, "trials": trials},
+            check=check,
         )
 
     return make
@@ -299,7 +345,7 @@ def _fullrevsort(n: int):
 #: Every registered bench.  Ids are stable — they key the trajectory —
 #: so renaming one orphans its history; add new ids instead.
 SPECS: tuple[BenchSpec, ...] = (
-    # -- engine throughput (mirrors bench_engine_throughput.py) --------
+    # -- engine throughput --------------------------------------------
     BenchSpec(
         "engine.columnsort-n256", ("smoke",), "trials",
         _engine_factory(_columnsort(256, 192), trials=64),
@@ -334,6 +380,19 @@ SPECS: tuple[BenchSpec, ...] = (
         "engine.fullrevsort-n4096", ("full",), "trials",
         _engine_factory(_fullrevsort(4096), trials=128),
         "batched routing, Section 6 full-Revsort hyperconcentrator",
+    ),
+    # -- the scalar oracle on the engine benches' rows ------------------
+    BenchSpec(
+        "scalar.columnsort-n4096", ("full",), "trials",
+        _scalar_factory(_columnsort(4096, 3072), trials=128),
+        "scalar setup loop, the Thm-4 headline geometry; raises unless "
+        "it matches setup_batch",
+    ),
+    BenchSpec(
+        "scalar.revsort-n4096", ("full",), "trials",
+        _scalar_factory(_revsort(4096, 3072), trials=128),
+        "scalar setup loop, Revsort at n=4096; raises unless it matches "
+        "setup_batch",
     ),
     # -- Thm-3/4 quality geometries ------------------------------------
     BenchSpec(
@@ -523,6 +582,7 @@ def run_bench(
     """
     from repro.engine import plan_cache
     from repro.obs.live.merge import merge_portable, portable_snapshot, roundtrip
+    from repro.obs.perf.hostref import host_ref_seconds
 
     global _WORKERS_CAP
     if repeats < 1:
@@ -532,6 +592,7 @@ def run_bench(
         workload = spec.make()
     finally:
         _WORKERS_CAP = None
+    host_ref_s = host_ref_seconds()
     cache_before = plan_cache().stats()
     started_at = time.time()
     walls: list[float] = []
@@ -543,6 +604,8 @@ def run_bench(
                 t0 = perf_counter()
                 work = workload.run(rng)
                 walls.append(perf_counter() - t0)
+    if workload.check is not None:
+        workload.check()
     if merge_into is not None:
         merge_portable(
             merge_into, roundtrip(portable_snapshot(registry)), worker=spec.id
@@ -594,6 +657,7 @@ def run_bench(
             "hit_rate": (hits / lookups) if lookups else None,
         },
         span_seconds=_span_seconds(snapshot),
+        host_ref_s=host_ref_s,
         meta=workload.meta,
         env=obs.environment(),
         seed=seed,

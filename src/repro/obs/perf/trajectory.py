@@ -18,6 +18,7 @@ Record layout (``schema="repro.obs/bench"``, ``version=1``)::
       "rss_peak_kb": ..., "alloc_peak_kb": ..., "alloc_blocks": ...,
       "plan_cache": {"hits": .., "misses": .., "hit_rate": ..},
       "span_seconds": {"engine.stage.seconds": {"count": .., "sum": ..}},
+      "host_ref_s": ...,                   # reference-loop time, seconds
       "meta": {...},                       # spec-specific (n, m, delays)
       "env": {"git_sha": .., "git_dirty": .., "python": ..,
               "numpy": .., "platform": ..},
@@ -103,60 +104,3 @@ def split_latest(records: list[dict]) -> tuple[dict[str, dict], list[dict]]:
     picked = {id(record) for record in candidates.values()}
     history = [record for record in records if id(record) not in picked]
     return candidates, history
-
-
-def backfill_engine_report(
-    report: dict, *, env: dict | None = None
-) -> list[dict]:
-    """Convert a legacy ``BENCH_engine.json`` document (see
-    ``benchmarks/bench_engine_throughput.py``) into trajectory records
-    — the seed baseline ("record 0") for ``repro bench compare``.
-
-    Each engine row becomes one record with the batched path's best
-    wall time as its single repeat; the scalar timing and speedup ride
-    along in ``meta`` so the provenance survives the conversion.
-    """
-    rows = report.get("rows", [])
-    if not rows:
-        raise ConfigurationError("engine report has no rows to backfill")
-    environment = {
-        "git_sha": None,
-        "git_dirty": None,
-        "python": None,
-        "numpy": None,
-        "platform": None,
-        **(env or {}),
-    }
-    records = []
-    for row in rows:
-        wall = float(row["batch_seconds"])
-        trials = int(row["trials"])
-        records.append(
-            new_record(
-                bench=f"engine.{row['switch']}",
-                suite="full",
-                unit="trials",
-                repeats=1,
-                wall_s=[wall],
-                median_wall_s=wall,
-                best_wall_s=wall,
-                work=trials,
-                throughput=trials / wall if wall > 0 else None,
-                rss_peak_kb=None,
-                alloc_peak_kb=None,
-                alloc_blocks=None,
-                plan_cache=report.get("plan_cache"),
-                span_seconds={},
-                meta={
-                    "backfilled_from": "BENCH_engine.json",
-                    "n": int(row["n"]),
-                    "m": int(row["m"]),
-                    "scalar_seconds": float(row["scalar_seconds"]),
-                    "speedup": float(row["speedup"]),
-                },
-                env=environment,
-                seed=report.get("seed"),
-                started_at=None,
-            )
-        )
-    return records

@@ -83,6 +83,12 @@ class Registry:
     scope."""
 
     enabled = True
+    #: Opt-in per-stage spans for hot loops.  Off, the engine's plan
+    #: walkers only observe the ``engine.run_plan.seconds`` (once per
+    #: call) and ``engine.stage.seconds`` (once per layer) histograms;
+    #: on, they also open one ``engine.run_plan`` span per call and one
+    #: ``engine.stage`` child per layer (what ``repro obs trace`` shows).
+    detail_spans = False
 
     def __init__(
         self,
@@ -213,6 +219,7 @@ class NullRegistry:
     """
 
     enabled = False
+    detail_spans = False
 
     def counter(self, name: str, /, **labels: object) -> NullCounter:
         return NULL_COUNTER

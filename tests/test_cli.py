@@ -134,6 +134,15 @@ class TestReproduceCommand:
         out = capsys.readouterr().out
         assert "All reproduction checks passed." in out
 
+    @pytest.mark.parametrize("command", ["reproduce", "knockout"])
+    def test_takes_the_live_telemetry_flags(self, command):
+        from repro.cli import build_parser
+
+        args = build_parser().parse_args(
+            [command, "--journal", "j.jsonl", "--live", "--crash-dir", "c"]
+        )
+        assert (args.journal, args.live, args.crash_dir) == ("j.jsonl", True, "c")
+
 
 class TestObsCommand:
     def test_catalog_table(self, capsys):

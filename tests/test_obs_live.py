@@ -117,6 +117,28 @@ class TestEventJournal:
         seqs = [json.loads(line)["seq"] for line in path.read_text().splitlines()]
         assert seqs == list(range(len(seqs)))
 
+    def test_bulk_frames_reach_disk_at_the_next_boundary(self, tmp_path):
+        path = tmp_path / "j.jsonl"
+        journal = EventJournal(path, clock=FakeClock())
+
+        def on_disk() -> list[str]:
+            return [json.loads(line)["type"]
+                    for line in path.read_text().splitlines()]
+
+        seen = []
+        journal.subscribe(seen.append)
+        journal.emit_span(SpanRecord("s", "s", 0, start=0.0, duration_s=0.1))
+        journal.emit("counter", key="c", delta=1.0)
+        assert on_disk() == ["start"]  # buffered, not yet flushed
+        assert [e["type"] for e in seen] == ["span", "counter"]  # sinks: at once
+        journal.emit("heartbeat", uptime=1.0)
+        assert on_disk() == ["start", "span", "counter", "heartbeat"]
+        journal.emit("hist", key="h", count=1, sum=0.5, min=0.5, max=0.5,
+                     buckets={})
+        assert on_disk()[-1] == "heartbeat"
+        journal.close()
+        assert on_disk()[-2:] == ["hist", "end"]
+
     def test_in_memory_journal_feeds_subscribers(self):
         seen = []
         journal = EventJournal(None, clock=FakeClock())
@@ -853,8 +875,62 @@ class TestCLITelemetry:
         assert verdict["ratio"] == pytest.approx(4.0)
         assert verdict["delta_pct"] == pytest.approx(300.0)
 
+    def test_knockout_journal_replays_to_metrics_out(self, tmp_path, capsys):
+        journal = tmp_path / "k.jsonl"
+        metrics = tmp_path / "k.json"
+        code = self._main(
+            ["knockout", "--ports", "8", "--slots", "30",
+             "--journal", str(journal), "--metrics-out", str(metrics)]
+        )
+        assert code == 0
+        snapshot = obs.read_metrics_json(metrics)
+        replayed = replay_journal(journal)
+        assert replayed["counters"] == snapshot["counters"]
+        assert any(k.startswith("knockout.") for k in replayed["counters"])
+        assert read_journal(journal)[0]["command"] == "knockout"
+
     def test_live_flag_is_harmless_without_tty(self, tmp_path, capsys):
         code = self._main(
             ["certify", "revsort", "--n", "16", "--m", "12", "--live"]
         )
         assert code == 0
+
+
+class TestJournalTax:
+    """The journal is cheap: a journal-on run prints exactly what a
+    journal-off run prints, and its hot loops aggregate into histograms
+    instead of writing one frame per engine stage."""
+
+    CERTIFY = ["certify", "--max-total", "256", "--max-per-k", "8"]
+
+    def _stdout(self, argv, capsys) -> str:
+        from repro.cli import main
+
+        capsys.readouterr()
+        assert main(argv) == 0
+        return capsys.readouterr().out
+
+    @pytest.mark.parametrize(
+        "argv", [CERTIFY, ["flows", "compare", "--n", "16"]],
+        ids=["certify", "flows-compare"],
+    )
+    def test_journal_on_stdout_is_byte_identical(self, argv, tmp_path, capsys):
+        off = self._stdout(argv, capsys)
+        on = self._stdout([*argv, "--journal", str(tmp_path / "j.jsonl")],
+                          capsys)
+        assert on == off
+
+    def test_certify_journal_has_no_engine_spans(self, tmp_path, capsys):
+        journal = tmp_path / "c.jsonl"
+        self._stdout([*self.CERTIFY, "--format", "json",
+                      "--journal", str(journal)], capsys)
+        events = read_journal(journal)
+        spans = [e["name"] for e in events if e["type"] == "span"]
+        configs = spans.count("verify.certify")
+        assert configs == 10
+        assert not [name for name in spans if name.startswith("engine.")]
+        assert len(events) <= 20 * configs
+        # the aggregate still says where the engine's time went
+        hists = replay_journal(journal)["histograms"]
+        assert hists["engine.stage.seconds"]["count"] > \
+            hists["engine.run_plan.seconds"]["count"] > 0

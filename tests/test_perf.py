@@ -90,26 +90,10 @@ class TestTrajectory:
         assert candidates["b"]["median_wall_s"] == 0.2
         assert history == [records[0]]
 
-    def test_backfill_engine_report(self):
-        engine = json.loads((REPO_ROOT / "BENCH_engine.json").read_text())
-        records = trajectory.backfill_engine_report(
-            engine, env={"git_sha": "f" * 40}
-        )
-        assert len(records) == len(engine["rows"])
-        first = records[0]
-        assert first["schema"] == trajectory.TRAJECTORY_SCHEMA
-        assert first["bench"].startswith("engine.")
-        assert first["median_wall_s"] == engine["rows"][0]["batch_seconds"]
-        assert first["meta"]["backfilled_from"] == "BENCH_engine.json"
-        assert first["env"]["git_sha"] == "f" * 40
-
-    def test_backfill_empty_report(self):
-        with pytest.raises(ConfigurationError):
-            trajectory.backfill_engine_report({"rows": []})
-
     def test_committed_seed_baseline(self):
-        """The repo ships the backfilled BENCH_engine.json as record 0,
-        so `repro bench compare` always has a baseline file."""
+        """The repo ships the legacy engine report's rows, backfilled,
+        as record 0, so `repro bench compare` always has a baseline
+        file."""
         records = trajectory.read_trajectory(REPO_ROOT / "BENCH_TRAJECTORY.jsonl")
         assert len(records) >= 4
         benches = {r["bench"] for r in records}
@@ -119,6 +103,33 @@ class TestTrajectory:
 
 
 class TestRegression:
+    def test_host_ref_normalises_a_slower_host(self):
+        # Same code on a host half as fast: twice the wall time, twice
+        # the reference-loop time -> no regression once normalised.
+        history = [_record("a", 0.1, host_ref_s=0.05)]
+        candidate = {"a": _record("a", 0.2, host_ref_s=0.1)}
+        (verdict,) = regression.compare_records(candidate, history)
+        assert verdict.normalised and verdict.status == "ok"
+        assert verdict.ratio == pytest.approx(1.0)
+        assert verdict.baseline_wall_s == pytest.approx(0.2)
+        assert verdict.as_dict()["normalised"] is True
+        # the raw comparison of the same pair is a 2x regression
+        raw = {"a": _record("a", 0.2)}
+        (verdict,) = regression.compare_records(raw, history)
+        assert not verdict.normalised and verdict.status == "regression"
+
+    def test_host_ref_baseline_uses_only_stamped_history(self):
+        history = [_record("a", 9.0), _record("a", 0.1, host_ref_s=0.05)]
+        candidate = {"a": _record("a", 0.1, host_ref_s=0.05)}
+        (verdict,) = regression.compare_records(candidate, history)
+        assert verdict.normalised and verdict.window == 1
+        assert verdict.status == "ok"
+
+    def test_run_bench_stamps_host_ref(self):
+        spec = suite.suite_specs("smoke", contains="hyper")[0]
+        record = suite.run_bench(spec, suite="smoke", repeats=1, alloc=False)
+        assert record["host_ref_s"] > 0
+
     def test_empty_baseline_passes(self):
         verdicts = regression.compare_records({"a": _record("a", 0.1)}, [])
         assert [v.status for v in verdicts] == ["no-baseline"]
@@ -298,6 +309,30 @@ class TestSuite:
         assert meta["theory_delays"] == pytest.approx(4 * 0.75 * 8)  # 4b lg 256
         assert record["alloc_peak_kb"] is None  # alloc pass skipped
 
+    def test_scalar_benches_check_against_setup_batch(self, monkeypatch):
+        from repro.engine.batch import BatchRouting
+        from repro.errors import RoutingError
+        from repro.switches.revsort_switch import RevsortSwitch
+
+        full = {s.id for s in suite.suite_specs("full", contains="scalar.")}
+        assert full == {"scalar.revsort-n4096", "scalar.columnsort-n4096"}
+        workload = suite._scalar_factory(suite._revsort(64, 48), trials=8)()
+        assert workload.run(np.random.default_rng(1)) == 8
+        workload.check()  # scalar loop and batch agree
+
+        original = RevsortSwitch.setup_batch
+
+        def off_by_one(self, valid):
+            batch = original(self, valid)
+            routing = batch.input_to_output.copy()
+            routing[3] = np.roll(routing[3], 1)
+            return BatchRouting(batch.n_inputs, batch.n_outputs,
+                                batch.valid, routing)
+
+        monkeypatch.setattr(RevsortSwitch, "setup_batch", off_by_one)
+        with pytest.raises(RoutingError, match="1 of 8 trials"):
+            workload.check()
+
     def test_run_bench_rejects_zero_repeats(self):
         spec = suite.suite_specs("smoke")[0]
         with pytest.raises(ConfigurationError):
@@ -305,6 +340,10 @@ class TestSuite:
 
 
 class TestEngineSpans:
+    """Per-stage engine spans are opt-in detail (``detail_spans``);
+    without it the plan walkers only observe the ``.seconds``
+    histograms, once per call and once per layer."""
+
     def test_one_span_per_chip_layer(self):
         from repro.engine.batch import _compile_steps
         from repro.switches.columnsort_switch import ColumnsortSwitch
@@ -315,6 +354,7 @@ class TestEngineSpans:
         switch.setup_batch(valid)  # warm: compile outside the traced run
         steps, _ = _compile_steps(switch._plan)
         with obs.collecting() as registry:
+            registry.detail_spans = True
             switch.setup_batch(valid)
         events = registry.snapshot()["spans"]["events"]
         run_plans = [e for e in events if e["name"] == "engine.run_plan"]
@@ -332,6 +372,7 @@ class TestEngineSpans:
         valid[:, :5] = True
         switch.setup_batch(valid)
         with obs.collecting() as registry:
+            registry.detail_spans = True
             switch.setup_batch(valid)
         stages = [
             e for e in registry.snapshot()["spans"]["events"]
@@ -339,6 +380,63 @@ class TestEngineSpans:
         ]
         assert stages
         assert all(e["meta"]["kind"] == "comparator" for e in stages)
+
+    @staticmethod
+    def _observations(registry) -> tuple[list[str], int, int]:
+        snapshot = registry.snapshot()
+        hists = snapshot["histograms"]
+        return (
+            [e["name"] for e in snapshot["spans"]["events"]],
+            hists["engine.run_plan.seconds"]["count"],
+            hists["engine.stage.seconds"]["count"],
+        )
+
+    def test_default_observes_histograms_not_spans(self):
+        from repro.engine.batch import _compile_steps
+        from repro.switches.columnsort_switch import ColumnsortSwitch
+
+        switch = ColumnsortSwitch.from_beta(256, 0.75, 192)
+        valid = np.zeros((4, 256), dtype=bool)
+        valid[:, :64] = True
+        switch.setup_batch(valid)
+        steps, _ = _compile_steps(switch._plan)
+        with obs.collecting() as registry:
+            for _ in range(3):
+                switch.setup_batch(valid)
+        spans, plan_count, stage_count = self._observations(registry)
+        assert spans == []
+        assert plan_count == 3
+        assert stage_count == 3 * len(steps)
+
+    def test_default_comparator_plan_observations(self):
+        from repro.switches.bitonic import BitonicHyperconcentrator, _bitonic_plan
+
+        switch = BitonicHyperconcentrator(16)
+        valid = np.zeros((2, 16), dtype=bool)
+        valid[:, :5] = True
+        switch.setup_batch(valid)
+        with obs.collecting() as registry:
+            switch.setup_batch(valid)
+            switch.setup_batch(valid)
+        spans, plan_count, stage_count = self._observations(registry)
+        assert spans == []
+        assert plan_count == 2
+        assert stage_count == 2 * len(_bitonic_plan(16).stages)
+
+    def test_detail_keeps_one_observation_per_call_and_layer(self):
+        from repro.switches.revsort_switch import RevsortSwitch
+
+        switch = RevsortSwitch(64, 48)
+        valid = np.zeros((2, 64), dtype=bool)
+        valid[:, ::3] = True
+        switch.setup_batch(valid)
+        counts = []
+        for detail in (False, True):
+            with obs.collecting() as registry:
+                registry.detail_spans = detail
+                switch.setup_batch(valid)
+            counts.append(self._observations(registry)[1:])
+        assert counts[0] == counts[1]
 
     def test_new_metrics_are_cataloged(self):
         known = set(obs.metric_names())
