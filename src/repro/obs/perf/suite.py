@@ -40,7 +40,7 @@ import numpy as np
 from repro import obs
 from repro._util.bits import ilg
 from repro._util.rng import DEFAULT_SEED, default_rng
-from repro.errors import ConfigurationError, RoutingError
+from repro.errors import ConfigurationError, RoutingError, SimulationError
 from repro.obs.perf.trajectory import new_record
 
 
@@ -318,6 +318,47 @@ def _flows_factory(
     return make
 
 
+def _resilience_factory(build: Callable[[], object], rounds: int, pins: int):
+    """Flaky-pin resilience: one :func:`~repro.faults.flaky_resilience`
+    run (the no-retry and the retry/backoff simulation, ``rounds``
+    rounds each) on a seeded ``pins``-pin flaky scenario — the
+    simulator half of ``repro faults sweep``; work is ``rounds``.
+    After timing, the bench raises
+    :class:`~repro.errors.SimulationError` unless retrying recovered
+    at least the no-retry delivery rate."""
+
+    def make() -> Workload:
+        from repro.faults import flaky_resilience, sample_flaky_scenario
+
+        switch = build()
+        _warm(switch)
+        scenario = sample_flaky_scenario(
+            switch, pins=pins, rng=default_rng(DEFAULT_SEED), name="bench-flaky"
+        )
+        last: dict[str, dict] = {}
+
+        def run(rng: np.random.Generator) -> int:
+            last["result"] = flaky_resilience(switch, scenario, rounds=rounds)
+            return rounds
+
+        def check() -> None:
+            result = last["result"]
+            if not result["recovered"]:
+                raise SimulationError(
+                    f"{switch!r}: retry delivered "
+                    f"{result['retry_delivery_rate']:.4f} < no-retry "
+                    f"{result['drop_delivery_rate']:.4f} under {scenario.name}"
+                )
+
+        return Workload(
+            run=run,
+            meta={"n": switch.n, "m": switch.m, "rounds": rounds, "pins": pins},
+            check=check,
+        )
+
+    return make
+
+
 def _columnsort(n: int, m: int):
     from repro.switches.columnsort_switch import ColumnsortSwitch
 
@@ -420,6 +461,13 @@ SPECS: tuple[BenchSpec, ...] = (
         "certify.revsort-n16", ("smoke", "full"), "patterns",
         _certify_factory("revsort", {"n": 16, "m": 12}),
         "exhaustive certify_design('revsort', n=16) wall time",
+    ),
+    # -- fault campaign: the round simulator under flaky pins ----------
+    BenchSpec(
+        "faults.resilience-revsort-n4096", ("smoke",), "rounds",
+        _resilience_factory(_revsort(4096, 3072), rounds=10, pins=3),
+        "flaky_resilience, 10 rounds on Revsort n=4096; raises unless "
+        "retrying recovers",
     ),
     # -- event-driven flow simulator (see docs/flows.md) ---------------
     BenchSpec(
