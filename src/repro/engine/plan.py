@@ -208,7 +208,14 @@ class PlanCache:
             plan = self._plans.get(key)
             if plan is not None:
                 self._hits += 1
-                obs.counter("engine.plan_cache.hit", kind=kind).inc()
+                reg = obs.get_registry()
+                if reg.enabled:
+                    hit = reg.handles.get(("engine.plan_cache.hit", kind))
+                    if hit is None:
+                        hit = reg.handles[("engine.plan_cache.hit", kind)] = (
+                            reg.counter("engine.plan_cache.hit", kind=kind)
+                        )
+                    hit.inc()
                 return plan
         # Build outside the lock (builders can be expensive); a
         # concurrent duplicate build is harmless — last write wins and

@@ -13,6 +13,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from repro import obs
 from repro._util.rng import default_rng
 from repro.errors import ConfigurationError, SimulationError
@@ -93,13 +95,15 @@ class WavePipeline:
             )
         summary = PipelineSummary()
         for wave_index in range(waves):
-            fresh = traffic.next_round()
-            offered = sum(1 for msg in fresh if msg is not None)
+            injected = traffic.next_round()
+            occupied = np.array([msg is not None for msg in injected], dtype=bool)
+            offered = int(occupied.sum())
             self.policy.on_offered(offered)
 
-            injected, overflow = place_backlog(
-                fresh, self.policy.backlog_due(wave_index), self.rng
-            )
+            due = self.policy.backlog_due(wave_index)
+            slots, overflow = place_backlog(occupied, due, self.rng)
+            for slot, msg in zip(slots.tolist(), due):
+                injected[slot] = msg
 
             record = self.sim.transit(injected)
             unrouted = record.dropped + overflow
@@ -110,7 +114,7 @@ class WavePipeline:
                 WaveRecord(
                     wave_index=wave_index,
                     start_cycle=wave_index * self.cycles_per_wave,
-                    injected=sum(1 for msg in injected if msg is not None),
+                    injected=offered + len(slots),
                     delivered=len(record.delivered),
                     unrouted=len(unrouted),
                 )

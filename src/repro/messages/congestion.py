@@ -17,6 +17,8 @@ from abc import ABC, abstractmethod
 from collections import deque
 from dataclasses import dataclass
 
+import numpy as np
+
 from repro import obs
 from repro._util.rng import default_rng
 from repro.errors import ConfigurationError
@@ -272,16 +274,16 @@ class RetryPolicy(_TimedRelease):
 
 
 def place_backlog(
-    fresh: list[Message | None], backlog: list[Message], rng
-) -> tuple[list[Message | None], list[Message]]:
-    """Put ``backlog`` into the idle slots of one round's ``fresh``
-    inputs, the idle slots taken in one ``rng.shuffle`` order.  Returns
-    the inputs to inject and the overflow that found no idle slot."""
-    injected = list(fresh)
+    occupied: np.ndarray, backlog: list[Message], rng
+) -> tuple[np.ndarray, list[Message]]:
+    """Place ``backlog`` on the idle inputs of one round, given its
+    bool occupancy ``occupied``; the idle slots are taken in one
+    ``rng.shuffle`` order (no draw when the backlog is empty).  Returns
+    the slots, ``slots[k]`` taking ``backlog[k]``, and the overflow
+    that found no idle slot."""
     if not backlog:
-        return injected, []
-    idle = [i for i, msg in enumerate(injected) if msg is None]
+        return np.empty(0, dtype=np.intp), []
+    idle = np.flatnonzero(~occupied)
     rng.shuffle(idle)
-    for msg, slot in zip(backlog, idle):
-        injected[slot] = msg
-    return injected, backlog[len(idle):]
+    slots = idle[: len(backlog)]
+    return slots, backlog[len(slots):]

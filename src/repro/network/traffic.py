@@ -3,6 +3,11 @@
 Each generator produces, per round, the set of input wires that carry a
 valid message (and the message payloads).  These play the role of the
 parallel computer's traffic that the paper's switches would see.
+
+:meth:`TrafficGenerator.draw` is the array form of one round (what the
+round simulator routes on); :meth:`TrafficGenerator.next_round` is the
+:class:`Message` view of the same draws (what the bit-serial pipeline
+transits).  Both consume the generator's RNG identically.
 """
 
 from __future__ import annotations
@@ -16,15 +21,23 @@ from repro.errors import ConfigurationError
 from repro.messages.message import Message
 
 
+#: Widest payload a generator draws: values come from one int64
+#: ``rng.integers`` call, whose exclusive bound ``1 << bits`` must fit.
+MAX_PAYLOAD_BITS = 63
+
+
 class TrafficGenerator(ABC):
-    """Produces one message set (length-n list of Message/None) per
-    round."""
+    """Produces one message set per round: as arrays (:meth:`draw`) or
+    as a length-n list of Message/None (:meth:`next_round`)."""
 
     def __init__(self, n: int, payload_bits: int = 8, seed: int | None = None):
         if n < 1:
             raise ConfigurationError(f"n must be positive, got {n}")
-        if payload_bits < 0:
-            raise ConfigurationError("payload_bits must be non-negative")
+        if not 0 <= payload_bits <= MAX_PAYLOAD_BITS:
+            raise ConfigurationError(
+                f"payload_bits must be in [0, {MAX_PAYLOAD_BITS}], "
+                f"got {payload_bits}"
+            )
         self.n = n
         self.payload_bits = payload_bits
         self.rng = default_rng(seed)
@@ -33,11 +46,25 @@ class TrafficGenerator(ABC):
     def active_inputs(self) -> np.ndarray:
         """Indices of inputs carrying a valid message this round."""
 
+    def draw(self) -> tuple[np.ndarray, np.ndarray | None]:
+        """One round: the active inputs, in the order
+        :meth:`active_inputs` gave them, and each one's payload value
+        (aligned with them), or None when ``payload_bits == 0``.  One
+        vectorised ``rng.integers`` call yields the same values as one
+        scalar draw per active input."""
+        active = np.asarray(self.active_inputs(), dtype=np.intp)
+        if not self.payload_bits:
+            return active, None
+        return active, self.rng.integers(0, 1 << self.payload_bits, size=len(active))
+
     def next_round(self) -> list[Message | None]:
+        """The :class:`Message` view of :meth:`draw`: ``messages[i]``
+        carries input i's payload, None on an idle input."""
+        active, values = self.draw()
+        payloads = values.tolist() if values is not None else [0] * len(active)
         messages: list[Message | None] = [None] * self.n
-        for i in self.active_inputs():
-            value = int(self.rng.integers(0, 1 << self.payload_bits)) if self.payload_bits else 0
-            messages[int(i)] = Message.from_int(value, self.payload_bits)
+        for i, value in zip(active.tolist(), payloads):
+            messages[i] = Message.from_int(value, self.payload_bits)
         return messages
 
 

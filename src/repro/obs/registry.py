@@ -30,7 +30,7 @@ from __future__ import annotations
 import threading
 from contextlib import contextmanager, nullcontext
 from time import perf_counter
-from typing import Callable, ContextManager, Iterator
+from typing import Callable, ContextManager, Hashable, Iterator
 
 from repro.obs.metrics import (
     NULL_COUNTER,
@@ -99,6 +99,10 @@ class Registry:
         self._gauges: dict[str, Gauge] = {}
         self._histograms: dict[str, Histogram] = {}
         self._series: dict[str, Series] = {}
+        #: Metric handles a hot path resolved once on this registry,
+        #: keyed by that caller (``metric_key`` sorts and joins labels
+        #: on every lookup); cleared with the metrics by :meth:`reset`.
+        self.handles: dict[Hashable, object] = {}
         self.clock = clock
         self.tracer = Tracer(max_events=max_trace_events, clock=clock)
 
@@ -190,6 +194,7 @@ class Registry:
 
     # -- lifecycle ------------------------------------------------------
     def reset(self) -> None:
+        self.handles.clear()
         self._counters.clear()
         self._gauges.clear()
         self._histograms.clear()

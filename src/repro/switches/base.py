@@ -133,8 +133,14 @@ class ConcentratorSwitch(ABC):
         reg = obs.get_registry()
         if reg.enabled:
             label = type(self).__name__
-            reg.counter("engine.batch_setups", switch=label).inc()
-            reg.counter("engine.batch_trials", switch=label).inc(valid2d.shape[0])
+            counters = reg.handles.get(("engine.batch", label))
+            if counters is None:
+                counters = reg.handles[("engine.batch", label)] = (
+                    reg.counter("engine.batch_setups", switch=label),
+                    reg.counter("engine.batch_trials", switch=label),
+                )
+            counters[0].inc()
+            counters[1].inc(valid2d.shape[0])
         return self._setup_batch(valid2d)
 
     def _setup_batch(self, valid: np.ndarray) -> BatchRouting:

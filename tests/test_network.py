@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from repro.errors import ConfigurationError
 from repro.messages.congestion import BufferPolicy, DropPolicy, ResendPolicy
@@ -56,6 +58,60 @@ class TestTrafficGenerators:
             HotSpotTraffic(8, hot_fraction=0.0)
         with pytest.raises(ConfigurationError):
             BernoulliTraffic(0, p=0.5)
+
+    def test_rejects_payloads_wider_than_an_int64_draw(self):
+        # 1 << 64 is past the int64 bound of rng.integers: the width
+        # must fail at construction, not on the first round.
+        for make in (
+            lambda bits: BernoulliTraffic(8, 0.9, payload_bits=bits, seed=1),
+            lambda bits: FixedKTraffic(8, 4, payload_bits=bits, seed=1),
+            lambda bits: HotSpotTraffic(8, payload_bits=bits, seed=1),
+        ):
+            with pytest.raises(ConfigurationError, match="payload_bits"):
+                make(64)
+            widest = make(63).next_round()
+            assert all(m.length == 63 for m in widest if m is not None)
+
+
+def _generator(kind: str, n: int, bits: int, seed: int):
+    if kind == "bernoulli":
+        return BernoulliTraffic(n, 0.6, payload_bits=bits, seed=seed)
+    if kind == "fixedk":
+        return FixedKTraffic(n, n // 2, payload_bits=bits, seed=seed)
+    return HotSpotTraffic(n, 0.4, 0.9, 0.2, payload_bits=bits, seed=seed)
+
+
+def _scalar_round(gen) -> tuple[list[int], list[int]]:
+    """The reference draw: one scalar ``rng.integers`` per active input,
+    after the occupancy draw (the per-message loop ``draw`` replaced)."""
+    active = [int(i) for i in gen.active_inputs()]
+    bits = gen.payload_bits
+    values = [int(gen.rng.integers(0, 1 << bits)) if bits else 0 for _ in active]
+    return active, values
+
+
+@given(
+    kind=st.sampled_from(["bernoulli", "fixedk", "hotspot"]),
+    n=st.integers(1, 48),
+    bits=st.integers(0, 63),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_draw_next_round_and_scalar_loop_agree(kind, n, bits, seed):
+    """``draw`` and ``next_round`` give the same occupancy and payloads
+    as the scalar loop, round after round, and leave every RNG in the
+    same state."""
+    arrays, messages, scalar = (_generator(kind, n, bits, seed) for _ in range(3))
+    for _ in range(3):
+        active, values = arrays.draw()
+        round_msgs = messages.next_round()
+        ref_active, ref_values = _scalar_round(scalar)
+        assert active.tolist() == ref_active
+        assert (values.tolist() if values is not None else [0] * len(active)) == ref_values
+        assert [i for i, m in enumerate(round_msgs) if m is not None] == sorted(ref_active)
+        assert [round_msgs[i].to_int() for i in ref_active] == ref_values
+        state = scalar.rng.bit_generator.state
+        assert arrays.rng.bit_generator.state == state
+        assert messages.rng.bit_generator.state == state
 
 
 class TestSwitchSimulation:
