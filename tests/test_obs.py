@@ -239,6 +239,27 @@ class TestInstallation:
         assert prev is obs.NULL_REGISTRY
         assert obs.uninstall() is reg
 
+    def test_memoised_handles_follow_registry_swaps_and_reset(self):
+        """``setup_batch`` and plan-cache hits count through handles
+        resolved once per registry: each ``using`` scope still counts
+        into its own registry, and ``reset`` drops the handles."""
+        valid = np.ones((3, 16), dtype=bool)
+        trials = "engine.batch_trials{switch=RevsortSwitch}"
+        hits = "engine.plan_cache.hit{kind=revsort}"
+        RevsortSwitch(16, 12).setup_batch(valid)  # compile and cache the plan
+        first, second = obs.Registry(), obs.Registry()
+        for reg in (first, second, first):
+            with obs.using(reg):
+                RevsortSwitch(16, 12).setup_batch(valid)
+        assert first.snapshot()["counters"][trials] == 6
+        assert second.snapshot()["counters"][trials] == 3
+        assert first.snapshot()["counters"][hits] == 2
+        assert second.snapshot()["counters"][hits] == 1
+        first.reset()
+        with obs.using(first):
+            RevsortSwitch(16, 12).setup_batch(valid)
+        assert first.snapshot()["counters"][trials] == 3
+
     def test_null_registry_is_inert(self):
         obs.counter("x").inc(100)
         obs.gauge("g").set(5)
