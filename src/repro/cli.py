@@ -504,9 +504,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
             batch = switch.setup_batch(valid)
             validate_batch_partial_concentration(spec, batch)
             if worst_eps is not None:
-                occupancy = output_occupancy(
-                    switch, valid, routing=batch.input_to_output
-                )
+                occupancy = output_occupancy(switch, batch)
                 if occupancy is None:
                     worst_eps = None
                 else:

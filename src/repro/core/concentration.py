@@ -29,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.errors import ConcentrationError, ConfigurationError
+from repro.errors import ConcentrationError, ConfigurationError, ReproError
 
 
 @dataclass(frozen=True)
@@ -127,6 +127,21 @@ def validate_partial_concentration(
         raise ConcentrationError(
             f"congested switch (k={k}) routed only {routed} < alpha*m={cap} messages"
         )
+
+
+def partial_concentration_failures(
+    spec: ConcentratorSpec, valid: np.ndarray, routing: np.ndarray
+) -> list[tuple[int, str]]:
+    """Row-level :func:`validate_partial_concentration` over a ``(B, n)``
+    batch: ``(row, message)`` for every violating row, in row order —
+    what pinpoints the offenders once a batched check has failed."""
+    failures: list[tuple[int, str]] = []
+    for i in range(len(valid)):
+        try:
+            validate_partial_concentration(spec, valid[i], routing[i])
+        except ReproError as exc:
+            failures.append((i, str(exc)))
+    return failures
 
 
 def validate_perfect_concentration(

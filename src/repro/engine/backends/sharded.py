@@ -86,11 +86,10 @@ def _stream_shard_job(job: dict) -> dict:
     from its own SeedSequence child, route, and reduce to a summary."""
     switch = job["switch"]
     valid = shard_valid(switch.n, job["count"], job["entropy"], job["load"])
-    batch = switch.setup_batch(valid)
     summary = summarize_batch(
         switch,
-        valid,
-        batch.input_to_output,
+        switch.setup_batch(valid),
+        start=job["start"],
         check_contract=job["check_contract"],
         measure_epsilon=job["measure_epsilon"],
     )
@@ -248,6 +247,7 @@ class ShardedBackend(EngineBackend):
         jobs = [
             {
                 "switch": switch,
+                "start": start,
                 "count": stop - start,
                 "entropy": children[index],
                 "load": spec.load,

@@ -219,8 +219,8 @@ def measure_scenario(
 
         # ε of the surviving occupancy (plan-based designs only).
         worst_eps: int | None = None
-        if fsw._plan is not None:
-            occupancy = fsw.occupancy_batch(patterns)
+        occupancy = batch.occupancy
+        if occupancy is not None:
             worst_eps = int(nearsortedness_batch(occupancy).max(initial=0))
             if use_gates:
                 gates = gate_occupancy(fsw, patterns)

@@ -167,15 +167,12 @@ class FaultySwitch(ConcentratorSwitch):
         valid2d = self._check_valid_batch(valid)
         return self._pos_batch(self.effective_valid(valid2d))
 
-    def occupancy_batch(self, valid: np.ndarray) -> np.ndarray:
-        """``(B, pos_space)`` bool: which final wires carry a surviving
-        message — the quantity the ε measurements and the gate-level
-        setup plane both observe."""
-        pos = self.final_positions_batch(valid)
-        out = np.zeros((pos.shape[0], self._pos_space), dtype=bool)
-        rows, cols = np.nonzero(pos >= 0)
-        out[rows, pos[rows, cols]] = True
-        return out
+    def occupancy_batch(self, valid: np.ndarray) -> np.ndarray | None:
+        """``(B, n)`` bool: which final wires carry a surviving message
+        — the quantity the ε measurements and the gate-level setup
+        plane both observe (the :attr:`BatchRouting.occupancy` of
+        :meth:`setup_batch`); None for designs without a plan."""
+        return self.setup_batch(valid).occupancy
 
     # -- routing ---------------------------------------------------------
 
@@ -195,9 +192,17 @@ class FaultySwitch(ConcentratorSwitch):
 
     def _setup_batch(self, valid: np.ndarray) -> BatchRouting:
         eff = self.effective_valid(valid)
-        routing = self._routing_from_pos(self._pos_batch(eff))
+        pos = self._pos_batch(eff)
+        rows, cols = np.nonzero(pos >= 0)
+        positions = pos[rows, cols]
+        routing = np.full(pos.shape, -1, dtype=np.int64)
+        routing[rows, cols] = self._out[positions]
         return BatchRouting(
-            n_inputs=self.n, n_outputs=self.m, valid=eff, input_to_output=routing
+            n_inputs=self.n,
+            n_outputs=self.m,
+            valid=eff,
+            input_to_output=routing,
+            carried=None if self._plan is None else (rows, positions),
         )
 
     def __repr__(self) -> str:  # pragma: no cover - trivial

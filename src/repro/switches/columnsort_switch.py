@@ -142,10 +142,7 @@ class ColumnsortSwitch(ConcentratorSwitch):
         )
 
     def _setup_batch(self, valid: np.ndarray) -> BatchRouting:
-        routing = concentrate_plan_batch(self._plan, valid, self.m)
-        return BatchRouting(
-            n_inputs=self.n, n_outputs=self.m, valid=valid, input_to_output=routing
-        )
+        return concentrate_plan_batch(self._plan, valid, self.m)
 
     # -- resource model (Section 5 / Table 1 figures) --------------------
 

@@ -173,10 +173,7 @@ class IteratedColumnsortSwitch(ConcentratorSwitch):
         )
 
     def _setup_batch(self, valid: np.ndarray) -> BatchRouting:
-        routing = concentrate_plan_batch(self._plan, valid, self.m)
-        return BatchRouting(
-            n_inputs=self.n, n_outputs=self.m, valid=valid, input_to_output=routing
-        )
+        return concentrate_plan_batch(self._plan, valid, self.m)
 
     def measured_epsilon(self, trials: int, rng: np.random.Generator) -> int:
         """Worst output-order nearsortedness over random inputs — the

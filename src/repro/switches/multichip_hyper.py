@@ -151,10 +151,7 @@ class FullRevsortHyperconcentrator(ConcentratorSwitch):
         )
 
     def _setup_batch(self, valid: np.ndarray) -> BatchRouting:
-        routing = concentrate_plan_batch(self._plan, valid, self.n)
-        return BatchRouting(
-            n_inputs=self.n, n_outputs=self.n, valid=valid, input_to_output=routing
-        )
+        return concentrate_plan_batch(self._plan, valid, self.n)
 
     # -- resource model --------------------------------------------------
 

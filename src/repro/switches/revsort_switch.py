@@ -173,10 +173,7 @@ class RevsortSwitch(ConcentratorSwitch):
     def _setup_batch(self, valid: np.ndarray) -> BatchRouting:
         if self._rotate_perm_cache is not None:
             return super()._setup_batch(valid)  # plan no longer applies
-        routing = concentrate_plan_batch(self._plan, valid, self.m)
-        return BatchRouting(
-            n_inputs=self.n, n_outputs=self.m, valid=valid, input_to_output=routing
-        )
+        return concentrate_plan_batch(self._plan, valid, self.m)
 
     # -- resource model (Section 4 figures) -----------------------------
 

@@ -70,21 +70,23 @@ def netlist_for(switch) -> tuple[Circuit, list[int]] | None:
     return cached
 
 
-def output_occupancy(
-    switch, valid: np.ndarray, *, routing: np.ndarray | None = None
-) -> np.ndarray | None:
-    """Final-position occupancy bits per trial, shape ``(B, n)``.
+def output_occupancy(switch, batch) -> np.ndarray | None:
+    """Final-position occupancy bits of a routed ``batch``, shape
+    ``(B, n)``.
 
     ``out[b, p]`` is True iff some valid input of trial ``b`` ends on
     flat position ``p`` — the quantity both the ε measurements and the
-    gate-level setup plane observe.  Uses the batched
-    ``final_positions_batch`` when the switch provides one, falling
-    back to the scalar ``final_positions`` row by row.  For full-width
+    gate-level setup plane observe.  Reads the
+    :attr:`~repro.engine.batch.BatchRouting.occupancy` of the walk that
+    routed ``batch`` when it has one; otherwise re-derives the final
+    positions from the switch's batched ``final_positions_batch``, or
+    from the scalar ``final_positions`` row by row.  For full-width
     switches without position tracking (hyperconcentrators: every valid
-    input is routed), a precomputed batched ``routing`` serves instead;
-    otherwise returns None.
+    input is routed), the routing itself serves; otherwise returns None.
     """
-    valid = np.asarray(valid, dtype=bool)
+    if batch.occupancy is not None:
+        return batch.occupancy
+    valid = batch.valid
     batched = getattr(switch, "final_positions_batch", None)
     if batched is not None:
         pos = np.asarray(batched(valid))
@@ -93,8 +95,8 @@ def output_occupancy(
             pos = np.stack([switch.final_positions(row) for row in valid])
         else:
             pos = np.empty(valid.shape, dtype=np.int64)
-    elif routing is not None and switch.m == switch.n:
-        pos = np.asarray(routing)
+    elif switch.m == switch.n:
+        pos = batch.input_to_output
         out = np.zeros(valid.shape, dtype=bool)
         rows, cols = np.nonzero(valid & (pos >= 0))
         out[rows, pos[rows, cols]] = True
@@ -182,9 +184,7 @@ def differential_check(
         messages.append(f"trial {row} [{pattern_hex(valid2d[row])}]: {msg}")
     if use_gates:
         netlist = netlist_for(switch)
-        occupancy = output_occupancy(
-            switch, valid2d, routing=batch.input_to_output
-        )
+        occupancy = output_occupancy(switch, batch)
         if netlist is not None and occupancy is not None:
             for row, msg in gate_parity_failures(*netlist, valid2d, occupancy):
                 messages.append(f"trial {row} [{pattern_hex(valid2d[row])}]: {msg}")

@@ -24,7 +24,7 @@ from typing import Iterator
 import numpy as np
 
 from repro import obs
-from repro.core.concentration import validate_partial_concentration
+from repro.core.concentration import partial_concentration_failures
 from repro.engine import nearsortedness_batch, validate_batch_partial_concentration
 from repro.errors import ReproError
 from repro.verify.certificate import Certificate, KSlice, Violation
@@ -93,18 +93,6 @@ def _planned_total(n: int, options: CertifyOptions) -> int:
     return sum(min(pattern_count(n, k), options.max_per_k) for k in range(n + 1))
 
 
-def _localize_contract_rows(spec, chunk: np.ndarray, routing: np.ndarray) -> list[tuple[int, str]]:
-    """Row-level contract check, used to pinpoint offenders after the
-    vectorized validator (or setup itself) reports a batch failure."""
-    bad: list[tuple[int, str]] = []
-    for i in range(chunk.shape[0]):
-        try:
-            validate_partial_concentration(spec, chunk[i], routing[i])
-        except ReproError as exc:
-            bad.append((i, str(exc)))
-    return bad
-
-
 def _chunk_rng(seed: int, index: int) -> np.random.Generator:
     """Chunk-local metamorphic generator, derived from the run seed and
     the chunk's position — never from a shared sequential stream — so
@@ -159,12 +147,14 @@ def _examine_chunk(switch, chunk: np.ndarray, config: dict) -> dict:
     try:
         validate_batch_partial_concentration(spec, batch)
     except ReproError:
-        for i, msg in _localize_contract_rows(spec, chunk, batch.input_to_output):
+        for i, msg in partial_concentration_failures(
+            spec, chunk, batch.input_to_output
+        ):
             contract_events.append(event(ks[i], chunk[i], msg))
     sections.append(("contract", True, contract_events))
 
     # -- ε-nearsortedness against the theorem bound --------------------
-    occupancy = output_occupancy(switch, chunk, routing=batch.input_to_output)
+    occupancy = output_occupancy(switch, batch)
     epsilon_bound = config["epsilon_bound"]
     if config["has_nearsort"] and occupancy is not None:
         eps = nearsortedness_batch(occupancy)

@@ -131,8 +131,7 @@ class TestStreamDeterminism:
         pieces = []
         for index, (start, stop) in enumerate(shards):
             valid = shard_valid(sw.n, stop - start, children[index], spec.load)
-            batch = sw.setup_batch(valid)
-            pieces.append(summarize_batch(sw, valid, batch.input_to_output))
+            pieces.append(summarize_batch(sw, sw.setup_batch(valid), start=start))
         left = StreamSummary()
         for piece in pieces:
             left = left.fold(piece)
