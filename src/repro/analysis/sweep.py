@@ -1,39 +1,32 @@
 """Parameter-sweep driver for the benches.
 
-:func:`sweep` runs a measurement across parameter values, optionally in
-parallel threads.  **Worker determinism contract:** when ``seed`` is
-given, each parameter value gets its own child of
-``np.random.SeedSequence(seed).spawn(...)``, assigned by *position in
-the parameter list* — never by worker or completion order — so the
-results are identical for any ``workers`` count (including serial).
+:func:`sweep` runs a measurement across parameter values, optionally
+over the persistent worker-process pool.  **Worker determinism
+contract:** when ``seed`` is given, each parameter value gets its own
+child of ``np.random.SeedSequence(seed).spawn(...)``, assigned by
+*position in the parameter list* — never by worker or completion order
+— so the results are identical for any ``workers`` count (including
+serial).
 
-**Telemetry contract:** when observability is enabled and the sweep
-fans out, each task runs against its own private
-:class:`~repro.obs.registry.Registry` (installed thread-locally via
-:func:`repro.obs.using`), and the per-task registries are serialized
-through the portable ``repro.obs/worker@1`` snapshot protocol and
-merged back into the parent registry *in parameter order* with
-``worker=sweep-<index>`` provenance labels.  Counter and histogram
-totals land in their original keys, so journal replay parity holds
-across parallel runs; the JSON roundtrip is enforced even for thread
-workers so the protocol is exactly what a future multiprocess engine
-backend will ship over a pipe.
+``workers > 1`` fans the calls out through
+:func:`repro.engine.backends.supervisor.fan_out`, so ``measure`` must be
+picklable (a module-level function): a dead worker costs a retry, not
+the sweep, and each call's metrics come back as a portable
+``repro.obs/worker@1`` snapshot merged into the parent registry *in
+parameter order* with ``worker=sweep-<index>`` provenance labels.
+Counter and histogram totals land in their original keys, so journal
+replay parity holds across parallel runs.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from typing import Callable, Iterable, Mapping
 
 import numpy as np
 
-from repro import obs
-from repro.errors import ConfigurationError
-from repro.obs.live.merge import merge_portable, portable_snapshot, roundtrip
-
 
 def _sweep_job(job: dict) -> dict[str, object]:
-    """Worker-process body for one parameter measurement."""
+    """Body of one parameter measurement (inline or in a pool worker)."""
     value, extra = job["call"]
     row: dict[str, object] = {"param": value}
     row.update(job["measure"](value, *extra))
@@ -46,7 +39,6 @@ def sweep(
     *,
     workers: int = 0,
     seed: int | None = None,
-    executor: str = "thread",
 ) -> list[dict[str, object]]:
     """Run ``measure`` across ``parameters`` and collect dict rows,
     tagging each with its parameter value under the key ``param``.
@@ -54,16 +46,11 @@ def sweep(
     ``measure`` is called as ``measure(value)``; when ``seed`` is given
     it is called as ``measure(value, rng)`` with a per-parameter
     deterministic generator (see module docstring).  ``workers > 1``
-    fans the calls out — over a thread pool by default, or over the
-    persistent multiprocess engine pool with ``executor="process"``
-    (``measure`` must then be picklable); rows always come back in
-    parameter order, and any metrics the tasks emit merge back into
-    the caller's registry in that same order (see module docstring).
+    fans the calls out over the supervised process pool (``measure``
+    must then be picklable); rows always come back in parameter order,
+    and any metrics the calls emit merge back into the caller's
+    registry in that same order (see module docstring).
     """
-    if executor not in ("thread", "process"):
-        raise ConfigurationError(
-            f"unknown sweep executor {executor!r} (thread or process)"
-        )
     params = list(parameters)
     if seed is not None:
         children = np.random.SeedSequence(seed).spawn(len(params))
@@ -73,54 +60,10 @@ def sweep(
         ]
     else:
         calls = [(value, ()) for value in params]
+    jobs = [{"call": call, "measure": measure} for call in calls]
+    if workers <= 1 or len(jobs) <= 1:
+        return [_sweep_job(job) for job in jobs]
 
-    def _one(call: tuple) -> dict[str, object]:
-        value, extra = call
-        row: dict[str, object] = {"param": value}
-        row.update(measure(value, *extra))
-        return row
+    from repro.engine.backends.supervisor import fan_out
 
-    parallel = workers > 1 and len(calls) > 1
-    if not parallel:
-        return [_one(call) for call in calls]
-
-    parent = obs.get_registry()
-    if executor == "process":
-        from repro.engine.backends.pool import shared_pool
-
-        pool = shared_pool(workers)
-        futures = [
-            pool.submit(
-                _sweep_job,
-                {"call": call, "measure": measure, "shard": index},
-            )
-            for index, call in enumerate(calls)
-        ]
-        rows = []
-        for index, future in enumerate(futures):
-            row, snapshot = future.result()
-            if parent.enabled:
-                merge_portable(parent, snapshot, worker=f"sweep-{index}")
-            rows.append(row)
-        return rows
-
-    if not parent.enabled:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            return list(pool.map(_one, calls))
-
-    def _one_collected(call: tuple) -> tuple[dict[str, object], dict]:
-        # Private registry per task: worker threads never touch the
-        # shared tracer's span stack, and their metrics come back as a
-        # portable snapshot instead of racing the parent's dicts.
-        local = obs.Registry()
-        with obs.using(local):
-            row = _one(call)
-        return row, roundtrip(portable_snapshot(local))
-
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        outcomes = list(pool.map(_one_collected, calls))
-    rows = []
-    for index, (row, snapshot) in enumerate(outcomes):
-        merge_portable(parent, snapshot, worker=f"sweep-{index}")
-        rows.append(row)
-    return rows
+    return list(fan_out(_sweep_job, jobs, label="sweep", workers=workers))

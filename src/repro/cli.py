@@ -1040,7 +1040,6 @@ def cmd_compare(args: argparse.Namespace) -> int:
             trials=args.trials,
             seed=args.seed,
             workers=workers,
-            executor=args.backend,
         )
         tele.advance("compare", len(k_values), len(k_values))
         if args.format == "json":
@@ -1231,7 +1230,6 @@ def cmd_flows_run(args: argparse.Namespace) -> int:
 def cmd_flows_compare(args: argparse.Namespace) -> int:
     import json
 
-    from repro.engine import resolve_workers
     from repro.network.flows import fabric_names, head_to_head
 
     spec = _flows_workload(args)
@@ -1240,14 +1238,12 @@ def cmd_flows_compare(args: argparse.Namespace) -> int:
         if args.fabrics
         else fabric_names()
     )
-    workers = resolve_workers(args.workers)
     with _telemetry_scope(args) as tele:
         tele.phase("flows-compare", total=len(names))
         report = head_to_head(
             spec,
             names,
             backpressure=not args.no_backpressure,
-            workers=workers,
             max_cycles=args.max_cycles or None,
             **_flows_fabric_params(args),
         )
@@ -1986,15 +1982,9 @@ def build_parser() -> argparse.ArgumentParser:
         "--workers",
         type=int,
         default=1,
-        help="workers for the batched path (0 = one per core); "
-        "results are identical for any worker count",
-    )
-    p.add_argument(
-        "--backend",
-        choices=["thread", "process"],
-        default="thread",
-        help="how --workers fan out: thread pool (default) or the "
-        "sharded multiprocess engine pool",
+        help="workers for the batched path (0 = one per core); more "
+        "than one fans out over the supervised process pool; results "
+        "are identical for any worker count",
     )
     p.add_argument("--format", choices=["table", "json"], default="table")
     p.add_argument(
@@ -2105,11 +2095,6 @@ def build_parser() -> argparse.ArgumentParser:
     pfc.add_argument(
         "--fabrics", default=None,
         help="comma-separated fabric subset (default: all)",
-    )
-    pfc.add_argument(
-        "--workers", type=int, default=1,
-        help="fan fabrics out over threads (0 = one per core); results "
-        "are identical for any worker count",
     )
     _add_flows_workload_flags(pfc)
     pfc.set_defaults(flows_func=cmd_flows_compare)

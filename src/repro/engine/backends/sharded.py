@@ -15,10 +15,10 @@ vectorized batch engine, and the results come back two ways:
   which the parent folds as shards complete — peak memory stays flat
   at 10⁷+ trials because full trial arrays never exist anywhere.
 
-Each shard runs under a private :mod:`repro.obs` registry
-(:func:`~repro.engine.backends.pool.run_collected`); the parent merges
-the portable snapshots back in shard order, so counters and histograms
-land in their original keys and gauges/spans carry
+Shards are dispatched through :func:`~repro.engine.backends.supervisor.fan_out`:
+each runs under a private :mod:`repro.obs` registry and the parent
+merges the portable snapshots back in shard order, so counters and
+histograms land in their original keys and gauges/spans carry
 ``{worker=shard-N}`` provenance.  ``workers == 1`` short-circuits to
 in-process execution through the very same shard plan, which is why
 results are byte-identical for any worker count.
@@ -28,7 +28,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro import obs
 from repro.engine.backends.base import (
     CAP_OCCUPANCY,
     CAP_PARALLEL,
@@ -44,18 +43,8 @@ from repro.engine.backends.base import (
     shard_valid,
     summarize_batch,
 )
-from repro.engine.backends.pool import (
-    as_shm_array,
-    attach_shm,
-    run_collected,
-    shared_pool,
-    shm_segments,
-)
-from repro.engine.backends.supervisor import (
-    ShardSupervisor,
-    SupervisorPolicy,
-    chaos_from_env,
-)
+from repro.engine.backends.pool import as_shm_array, attach_shm, shm_segments
+from repro.engine.backends.supervisor import SupervisorPolicy, fan_out
 
 
 def _routing_shard_job(job: dict) -> dict:
@@ -130,71 +119,25 @@ class ShardedBackend(EngineBackend):
             {CAP_ROUTING, CAP_OCCUPANCY, CAP_STREAM, CAP_PARALLEL, CAP_SUPERVISED}
         )
 
-    # -- dispatch plumbing -------------------------------------------
-
-    def _jobs(self, switch, jobs: list[dict]) -> None:
-        """Attach shard indices, the plan payload, and test hooks."""
-        payload = None
-        if self.workers > 1:
-            key = self.plan_key(switch)
-            payload = shared_pool(self.workers).plan_payload([key])
-        for index, job in enumerate(jobs):
-            job["shard"] = index
-            if payload:
-                job["plans"] = payload
-            if self._test_shard_delay_s and index == 0:
-                job["delay_s"] = self._test_shard_delay_s
-
-    def _dispatch(self, switch, fn, jobs: list[dict]) -> list[object]:
-        """Run the shard jobs (pool or inline), merge worker snapshots
-        back in shard order, and return per-shard results in shard
-        order.
-
-        Pool dispatch is supervised (:mod:`.supervisor`): a dead or
-        deadline-stuck worker costs a retry and a pool respawn, never
-        the run — and because every shard's entropy is keyed to its
-        position, retried results are byte-identical to a clean run's.
-
-        The whole round runs inside one ``engine.shards`` span; when a
-        trace context is active its span id is shipped to every shard
-        as the causal parent of the worker's root spans, which is how
-        ``repro obs analyze`` stitches per-worker subtrees back under
-        the dispatching command.
-        """
-        self._jobs(switch, jobs)
-        for _ in jobs:
-            obs.counter("engine.shards", backend=self.name).inc()
-        parent = obs.get_registry()
-        with parent.span("engine.shards", backend=self.name, shards=len(jobs)):
-            ctx = parent.tracer.context if parent.enabled else None
-            if ctx is not None:
-                dispatch_id = parent.tracer.active_span_id
-                for job in jobs:
-                    job["trace"] = ctx.ship(
-                        parent_id=dispatch_id, prefix=f"shard-{job['shard']}"
-                    )
-            if self.workers > 1 and len(jobs) > 1:
-                chaos = self._test_chaos or chaos_from_env()
-                if chaos:
-                    for job in jobs:
-                        job["chaos"] = dict(chaos)
-                supervisor = ShardSupervisor(
-                    shared_pool(self.workers),
-                    self.policy,
-                    plan_keys=[self.plan_key(switch)],
-                    label=self.name,
-                )
-                outcomes = supervisor.run(fn, jobs)
-            else:
-                outcomes = [run_collected(fn, job) for job in jobs]
-            results = []
-            for index, (result, snapshot) in enumerate(outcomes):
-                if parent.enabled:
-                    from repro.obs.live.merge import merge_portable
-
-                    merge_portable(parent, snapshot, worker=f"shard-{index}")
-                results.append(result)
-        return results
+    def _run_shards(self, switch, fn, jobs: list[dict]):
+        """Run the shard jobs through :func:`.supervisor.fan_out`: a
+        dead or deadline-stuck worker costs a retry, never the run, and
+        every shard's entropy is keyed to its position, so retried
+        results are byte-identical to a clean run's."""
+        if self._test_shard_delay_s and jobs:
+            jobs[0]["delay_s"] = self._test_shard_delay_s
+        if self._test_chaos:
+            for job in jobs:
+                job["chaos"] = dict(self._test_chaos)
+        return fan_out(
+            fn,
+            jobs,
+            label=self.name,
+            workers=self.workers,
+            plan_keys=[self.plan_key(switch)],
+            policy=self.policy,
+            names=[f"shard-{index}" for index in range(len(jobs))],
+        )
 
     # -- the protocol ------------------------------------------------
 
@@ -227,7 +170,8 @@ class ShardedBackend(EngineBackend):
                 }
                 for rows in bounds
             ]
-            self._dispatch(switch, _routing_shard_job, jobs)
+            for _ in self._run_shards(switch, _routing_shard_job, jobs):
+                pass  # taking each result merges that shard's telemetry
             routing = (
                 as_shm_array(shm_out, valid.shape, np.int32)
                 .astype(np.int64)
@@ -257,7 +201,7 @@ class ShardedBackend(EngineBackend):
             for index, (start, stop) in enumerate(shards)
         ]
         summary = StreamSummary()
-        for result in self._dispatch(switch, _stream_shard_job, jobs):
+        for result in self._run_shards(switch, _stream_shard_job, jobs):
             result = dict(result)
             result["messages"] = tuple(result.get("messages", ()))
             summary = summary.fold(StreamSummary(**result))

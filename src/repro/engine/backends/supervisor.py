@@ -4,7 +4,9 @@ A multi-hour certify or stream run used to die with a raw
 ``BrokenProcessPool`` the moment one pool worker was OOM-killed or
 segfaulted, throwing away every completed shard.  The supervisor wraps
 every pool dispatch with the recovery loop the rest of the stack can
-build on:
+build on, and :func:`fan_out` is the one entry point every parallel
+call site (the sharded backend, certify, ``analysis.sweep``, the
+Section 1 compare) goes through:
 
 * **failure classification** — a completed-with-exception shard is one
   of ``worker-death`` (the executor broke underneath it),
@@ -46,9 +48,10 @@ import os
 import time
 from concurrent.futures import FIRST_COMPLETED, BrokenExecutor, CancelledError, wait
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Iterator, Sequence
 
 from repro import obs
+from repro.engine.backends.pool import run_collected, shared_pool
 from repro.errors import ExecutionError
 
 #: Failure classes the supervisor distinguishes.
@@ -198,8 +201,6 @@ class ShardSupervisor:
         Chaos hooks and plan payloads are stripped — the parent owns
         the live plan cache, and an in-process ``os._exit`` would kill
         the run the fallback exists to save."""
-        from repro.engine.backends.pool import run_collected
-
         obs.counter("engine.degraded_fallbacks").inc()
         _emit_event(
             "degraded", shard=index, reason=reason, label=self.label,
@@ -350,6 +351,79 @@ class ShardSupervisor:
         return results
 
 
+def fan_out(
+    fn,
+    jobs: list[dict],
+    *,
+    label: str,
+    workers: int,
+    plan_keys: Sequence = (),
+    policy: SupervisorPolicy | None = None,
+    on_result=None,
+    names: Sequence[str] | None = None,
+) -> Iterator:
+    """Run ``fn(job)`` for every job dict, supervised over the shared
+    pool of ``workers`` processes (inline through ``run_collected`` when
+    ``workers <= 1`` or there is only one job), and return an iterator
+    over the results in job order.
+
+    Each job is stamped with its ``shard`` index (unless it carries
+    one), the plan payload for ``plan_keys``, the ``REPRO_CHAOS`` hooks
+    (pool rounds only — inline jobs run with chaos stripped, as a
+    degraded shard does), and the shipped trace context, all under one
+    ``engine.shards`` span.  Job ``i``'s worker snapshot merges into the
+    caller's registry with provenance ``names[i]`` (default
+    ``<label>-<shard>``) as its result is taken from the iterator, so a
+    caller that stops early merges only what it consumed.
+    ``on_result(index, outcome)`` fires in completion order, like
+    :meth:`ShardSupervisor.run`'s.
+    """
+    for index, job in enumerate(jobs):
+        job.setdefault("shard", index)
+    if names is None:
+        names = [f"{label}-{job['shard']}" for job in jobs]
+    obs.counter("engine.shards", backend=label).inc(len(jobs))
+    parent = obs.get_registry()
+    with parent.span("engine.shards", backend=label, shards=len(jobs)):
+        # The dispatch span is the causal parent of every worker's root
+        # spans; that is how ``repro obs analyze`` stitches them back.
+        ctx = parent.tracer.context if parent.enabled else None
+        if ctx is not None:
+            dispatch_id = parent.tracer.active_span_id
+            for job, name in zip(jobs, names):
+                job["trace"] = ctx.ship(parent_id=dispatch_id, prefix=name)
+        if workers > 1 and len(jobs) > 1:
+            pool = shared_pool(workers)
+            payload = pool.plan_payload(plan_keys)
+            chaos = chaos_from_env()
+            for job in jobs:
+                if payload:
+                    job["plans"] = payload
+                if chaos:
+                    job.setdefault("chaos", dict(chaos))
+            supervisor = ShardSupervisor(
+                pool, policy, plan_keys=plan_keys, label=label
+            )
+            outcomes = supervisor.run(fn, jobs, on_result=on_result)
+        else:
+            outcomes = []
+            for index, job in enumerate(jobs):
+                job.pop("chaos", None)
+                outcomes.append(run_collected(fn, job))
+                if on_result is not None:
+                    on_result(index, outcomes[-1])
+    return _merged(parent, outcomes, names)
+
+
+def _merged(parent, outcomes: list[tuple], names: Sequence[str]) -> Iterator:
+    from repro.obs.live.merge import merge_portable
+
+    for (result, snapshot), name in zip(outcomes, names):
+        if parent.enabled:
+            merge_portable(parent, snapshot, worker=name)
+        yield result
+
+
 __all__ = [
     "REASON_TIMEOUT",
     "REASON_TRANSIENT",
@@ -358,5 +432,6 @@ __all__ = [
     "SupervisorPolicy",
     "add_event_sink",
     "chaos_from_env",
+    "fan_out",
     "remove_event_sink",
 ]

@@ -4,17 +4,13 @@ Methodology: one workload is generated once from the seed, and every
 fabric simulates *exactly the same flows* — identical offered load,
 identical arrival times, identical sizes — so differences in the
 flow-completion-time percentiles and loss are attributable to the
-fabric alone.  Each fabric's simulation is independent and
-deterministic, which is why the study may fan fabrics out over a
-thread pool (``workers > 1``) without changing a single byte of any
-result: per-fabric telemetry is collected in private registries and
-merged back in fabric order, mirroring the worker-determinism contract
-of :func:`repro.analysis.sweep.sweep`.
+fabric alone.  The fabrics run serially, in order: a process pool of
+two measured no faster on the full study (rotor alone takes most of
+the time; see ``docs/performance.md``, "Scaling").
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 from repro import obs
@@ -22,7 +18,6 @@ from repro.errors import ConfigurationError
 from repro.network.flows.fabric import build_fabric, fabric_names
 from repro.network.flows.sim import FlowSim, FlowSimResult
 from repro.network.flows.workload import WorkloadSpec, generate_flows
-from repro.obs.live.merge import merge_portable, portable_snapshot, roundtrip
 
 
 @dataclass
@@ -90,7 +85,6 @@ def head_to_head(
     fabrics: list[str] | None = None,
     *,
     backpressure: bool = True,
-    workers: int = 0,
     max_cycles: int | None = None,
     **fabric_params,
 ) -> CompareReport:
@@ -111,35 +105,11 @@ def head_to_head(
     flows = generate_flows(spec)
     cap = max_cycles or _default_max_cycles(spec)
 
-    def _one(name: str) -> FlowSimResult:
-        stage = build_fabric(name, spec.n, **fabric_params)
-        return FlowSim(
-            stage, flows, backpressure=backpressure, max_cycles=cap
-        ).run()
-
     report = CompareReport(workload=spec, fabrics=names)
-    parent = obs.get_registry()
-    with parent.span("flows.compare", fabrics=",".join(names), n=spec.n):
-        if workers > 1 and parent.enabled:
-            # Each fabric collects telemetry into a private registry;
-            # the snapshots merge back in fabric order, so metrics are
-            # independent of thread interleaving.
-            def _collected(name: str) -> tuple[FlowSimResult, dict]:
-                local = obs.Registry()
-                with obs.using(local):
-                    result = _one(name)
-                return result, roundtrip(portable_snapshot(local))
-
-            with ThreadPoolExecutor(max_workers=workers) as pool:
-                outcomes = list(pool.map(_collected, names))
-            for name, (result, snapshot) in zip(names, outcomes):
-                merge_portable(parent, snapshot, worker=f"flows-{name}")
-                report.results[name] = result
-        elif workers > 1:
-            with ThreadPoolExecutor(max_workers=workers) as pool:
-                for name, result in zip(names, pool.map(_one, names)):
-                    report.results[name] = result
-        else:
-            for name in names:
-                report.results[name] = _one(name)
+    with obs.span("flows.compare", fabrics=",".join(names), n=spec.n):
+        for name in names:
+            stage = build_fabric(name, spec.n, **fabric_params)
+            report.results[name] = FlowSim(
+                stage, flows, backpressure=backpressure, max_cycles=cap
+            ).run()
     return report

@@ -15,7 +15,6 @@ everything; past m, both saturate at m.
 from __future__ import annotations
 
 import logging
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -25,7 +24,6 @@ from repro._util.rng import default_rng
 from repro.errors import ConfigurationError
 from repro.messages.congestion import CongestionPolicy, DropPolicy, place_backlog
 from repro.messages.message import Message
-from repro.obs.live.merge import merge_portable, portable_snapshot, roundtrip
 from repro.switches.base import ConcentratorSwitch
 
 logger = logging.getLogger(__name__)
@@ -236,19 +234,13 @@ def _random_k_subsets(
     return valid
 
 
-def _batched_k_trial(
-    switch: ConcentratorSwitch, k: int, trials: int, seed: np.random.SeedSequence
-) -> float:
-    rng = np.random.default_rng(seed)
-    batch = switch.setup_batch(_random_k_subsets(switch.n, k, trials, rng))
-    return float(np.mean(batch.routed_counts))
-
-
 def _compare_job(job: dict) -> float:
-    """Worker-process body for one (switch, k) comparison item."""
-    return _batched_k_trial(
-        job["switch"], job["k"], job["trials"], job["entropy"]
-    )
+    """Body of one (switch, k) comparison item (inline or in a pool
+    worker): the mean routed count over ``trials`` random k-subsets."""
+    switch = job["switch"]
+    rng = np.random.default_rng(job["entropy"])
+    valid = _random_k_subsets(switch.n, job["k"], job["trials"], rng)
+    return float(np.mean(switch.setup_batch(valid).routed_counts))
 
 
 def compare_partial_vs_perfect(
@@ -258,7 +250,6 @@ def compare_partial_vs_perfect(
     trials: int = 20,
     seed: int | None = None,
     workers: int = 0,
-    executor: str = "thread",
 ) -> dict[int, dict[str, float]]:
     """The Section 1 substitution experiment.
 
@@ -270,85 +261,42 @@ def compare_partial_vs_perfect(
     ``workers=0`` (the default) preserves the legacy serial draw order
     exactly.  ``workers >= 1`` switches to the batched engine path: each
     (switch, k) work item gets its own ``SeedSequence`` child keyed by
-    its position, the trials run through :meth:`setup_batch`, and
-    ``workers > 1`` fans the items out — over a thread pool by default,
-    or over the persistent multiprocess engine pool with
-    ``executor="process"`` — so the results are identical for any
-    worker count and either executor, but differ from the serial draw
-    order.
+    its position and its trials run through :meth:`setup_batch`;
+    ``workers > 1`` fans the items out over the supervised process pool
+    (:func:`repro.engine.backends.supervisor.fan_out`), with each item's
+    metrics merged back in work-list order under ``perfect-k<k>`` /
+    ``partial-k<k>`` provenance.  The results are identical for any
+    worker count, but differ from the serial draw order.
     """
-    if executor not in ("thread", "process"):
-        raise ConfigurationError(
-            f"unknown compare executor {executor!r} (thread or process)"
-        )
     if workers >= 1:
         items = [(sw, k) for k in k_values for sw in (perfect, partial)]
         children = np.random.SeedSequence(seed).spawn(len(items))
-        labels = [
-            f"{kind}-k{k}" for k in k_values for kind in ("perfect", "partial")
-        ]
         jobs = [
-            (sw, k, child) for (sw, k), child in zip(items, children)
+            {"switch": sw, "k": k, "trials": trials, "entropy": child}
+            for (sw, k), child in zip(items, children)
         ]
+        if workers > 1:
+            from repro.engine.backends.supervisor import fan_out
 
-        def _one(job: tuple) -> float:
-            sw, k, child = job
-            return _batched_k_trial(sw, k, trials, child)
-
-        parent = obs.get_registry()
-        if workers > 1 and executor == "process":
-            # Persistent process pool: plans ship once per design key,
-            # each item collects into a private worker registry, and
-            # the snapshots merge back in work-list order below.
-            from repro.engine.backends.pool import shared_pool
-
-            pool = shared_pool(workers)
-            payload = pool.plan_payload(
-                [
-                    getattr(getattr(sw, "_plan", None), "key", None)
-                    for sw in (perfect, partial)
-                ]
+            means = list(
+                fan_out(
+                    _compare_job,
+                    jobs,
+                    label="compare",
+                    workers=workers,
+                    plan_keys=[
+                        getattr(getattr(sw, "_plan", None), "key", None)
+                        for sw in (perfect, partial)
+                    ],
+                    names=[
+                        f"{kind}-k{k}"
+                        for k in k_values
+                        for kind in ("perfect", "partial")
+                    ],
+                )
             )
-            futures = []
-            for index, (sw, k, child) in enumerate(jobs):
-                job = {
-                    "switch": sw,
-                    "k": k,
-                    "trials": trials,
-                    "entropy": child,
-                    "shard": index,
-                }
-                if payload:
-                    job["plans"] = payload
-                futures.append(pool.submit(_compare_job, job))
-            means = []
-            for label, future in zip(labels, futures):
-                mean, snapshot = future.result()
-                if parent.enabled:
-                    merge_portable(parent, snapshot, worker=label)
-                means.append(mean)
-        elif workers > 1 and parent.enabled:
-            # Each job routes through the batched engine, which emits
-            # engine.* metrics and spans: give every job a private
-            # thread-local registry and merge the portable snapshots
-            # back in job order (see repro.obs.live.merge).
-            def _one_collected(job: tuple) -> tuple[float, dict]:
-                local = obs.Registry()
-                with obs.using(local):
-                    mean = _one(job)
-                return mean, roundtrip(portable_snapshot(local))
-
-            with ThreadPoolExecutor(max_workers=workers) as pool:
-                outcomes = list(pool.map(_one_collected, jobs))
-            means = []
-            for label, (mean, snapshot) in zip(labels, outcomes):
-                merge_portable(parent, snapshot, worker=label)
-                means.append(mean)
-        elif workers > 1:
-            with ThreadPoolExecutor(max_workers=workers) as pool:
-                means = list(pool.map(_one, jobs))
         else:
-            means = [_one(job) for job in jobs]
+            means = [_compare_job(job) for job in jobs]
         return {
             k: {"perfect": means[2 * i], "partial": means[2 * i + 1]}
             for i, k in enumerate(k_values)

@@ -42,9 +42,9 @@ CATALOG: tuple[MetricInfo, ...] = (
                "plans installed from a shipped PlanCache.snapshot() "
                "payload (worker warm-start), by plan kind"),
     MetricInfo("engine.shards", "counter", ("backend",),
-               "trial shards dispatched by an engine backend's "
-               "run_stream/run_trials fan-out, by backend name; also the "
-               "span wrapping the whole dispatch round (meta: backend, "
+               "stream shards and fan_out jobs, by backend name or fan_out "
+               "label (process, certify, sweep, compare); also the span "
+               "wrapping a fan_out dispatch round (meta: backend, "
                "shards) — the causal parent shipped to every worker"),
     MetricInfo("engine.shard", "span", (),
                "one shard executing in a worker (meta: shard index)"),

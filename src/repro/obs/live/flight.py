@@ -20,6 +20,7 @@ import traceback
 from collections import deque
 from pathlib import Path
 
+from repro._util.persisted import load_document
 from repro.errors import ConfigurationError, exit_code_for
 
 CRASH_SCHEMA = "repro.obs/crash@1"
@@ -126,9 +127,7 @@ class FlightRecorder:
 
 def read_crash_report(path: str | Path) -> dict:
     """Load and schema-check a crash report."""
-    import json
-
-    document = json.loads(Path(path).read_text(encoding="utf-8"))
+    document = load_document(path, what="crash report")
     if document.get("schema") != CRASH_SCHEMA:
         raise ConfigurationError(f"{path} is not a {CRASH_SCHEMA} crash report")
     return document

@@ -59,6 +59,7 @@ import time
 from pathlib import Path
 from typing import Callable, Iterable
 
+from repro._util.persisted import read_jsonl
 from repro.errors import ConfigurationError
 from repro.obs.registry import Registry
 from repro.obs.tracing import SpanRecord
@@ -242,14 +243,7 @@ def read_journal(source: str | Path | Iterable[dict]) -> list[dict]:
     """Load journal events from a path (JSONL) or pass an event list
     through, validating the ``start`` line's schema tag."""
     if isinstance(source, (str, Path)):
-        path = Path(source)
-        if not path.exists():
-            raise ConfigurationError(f"no journal at {path}")
-        events = [
-            json.loads(line)
-            for line in path.read_text(encoding="utf-8").splitlines()
-            if line.strip()
-        ]
+        events = read_jsonl(source, what="journal")
     else:
         events = list(source)
     if not events:

@@ -31,6 +31,7 @@ from __future__ import annotations
 import json
 from pathlib import Path
 
+from repro._util.persisted import read_jsonl
 from repro.errors import ConfigurationError
 
 TRAJECTORY_SCHEMA = "repro.obs/bench"
@@ -63,28 +64,7 @@ def read_trajectory(path: str | Path) -> list[dict]:
     """Read every record of a trajectory file, in file (= append)
     order.  Blank lines are skipped; a line that is not a
     ``repro.obs/bench`` record raises."""
-    source = Path(path)
-    if not source.exists():
-        raise ConfigurationError(f"no trajectory at {source}")
-    records: list[dict] = []
-    for lineno, line in enumerate(
-        source.read_text(encoding="utf-8").splitlines(), start=1
-    ):
-        if not line.strip():
-            continue
-        try:
-            record = json.loads(line)
-        except json.JSONDecodeError as exc:
-            raise ConfigurationError(
-                f"{source}:{lineno} is not valid JSON: {exc}"
-            ) from exc
-        if record.get("schema") != TRAJECTORY_SCHEMA:
-            raise ConfigurationError(
-                f"{source}:{lineno} is not a {TRAJECTORY_SCHEMA} record "
-                f"(schema={record.get('schema')!r})"
-            )
-        records.append(record)
-    return records
+    return read_jsonl(path, what="trajectory", schema=TRAJECTORY_SCHEMA)
 
 
 def latest_per_bench(records: list[dict]) -> dict[str, dict]:

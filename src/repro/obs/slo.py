@@ -47,6 +47,7 @@ import json
 from dataclasses import dataclass
 from pathlib import Path
 
+from repro._util.persisted import load_document
 from repro.errors import ConfigurationError
 
 SLO_SCHEMA = "repro.obs/slo@1"
@@ -106,11 +107,8 @@ class SloVerdict:
 def load_slo_spec(path: str | Path) -> list[SloRule]:
     """Load and validate a spec file (``.toml`` or ``.json``)."""
     target = Path(path)
-    if not target.exists():
-        raise ConfigurationError(f"no SLO spec at {target}")
-    text = target.read_text(encoding="utf-8")
     if target.suffix.lower() == ".json":
-        document = json.loads(text)
+        parse = json.loads
     else:
         try:
             import tomllib
@@ -119,7 +117,8 @@ def load_slo_spec(path: str | Path) -> list[SloRule]:
                 f"{target} is TOML but this Python has no tomllib "
                 "(>= 3.11); write the spec as JSON instead"
             ) from None
-        document = tomllib.loads(text)
+        parse = tomllib.loads
+    document = load_document(target, what="SLO spec", parse=parse)
     return parse_slo_spec(document, source=str(target))
 
 

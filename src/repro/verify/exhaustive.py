@@ -382,81 +382,49 @@ def certify_switch(
 def _certify_parallel(
     switch, tasks, fold, cert, workers: int, *, policy=None, checkpoint=None
 ) -> None:
-    """Ship chunk tasks to the supervised worker pool and fold the
-    reports in chunk order (stopping at violation truncation, like the
-    serial loop).  Worker metric snapshots merge back in the same order
-    with ``certify-<chunk>`` provenance.
+    """Fan chunk tasks out over the supervised worker pool and fold the
+    reports in chunk order, stopping at violation truncation like the
+    serial loop.  Worker metric snapshots merge as their chunks fold,
+    with ``certify-<chunk>`` provenance, so chunks past the truncation
+    point merge nothing.
 
     A ``checkpoint`` journal shifts work two ways: chunks it already
-    holds are never submitted (their stored reports fold in place), and
+    holds are never dispatched (their stored reports fold in place), and
     every fresh report is persisted the moment its shard completes —
     *completion* order, because that is what survives a kill; the fold
     below still runs in chunk order.
     """
-    from repro.engine.backends.pool import shared_pool
-    from repro.engine.backends.supervisor import ShardSupervisor, chaos_from_env
-    from repro.obs.live.merge import merge_portable
+    from repro.engine.backends.supervisor import fan_out
 
-    pool = shared_pool(workers)
-    plan = getattr(switch, "_plan", None)
-    plan_key = getattr(plan, "key", None)
-    payload = pool.plan_payload([plan_key])
     todo = [
         (config, chunk)
         for config, chunk in tasks
         if checkpoint is None or not checkpoint.has(config["index"])
     ]
-    parent = obs.get_registry()
-    with parent.span("engine.shards", backend="certify", shards=len(todo)):
-        # Ship the active trace context so each worker's spans link
-        # back to this dispatch span (see repro.obs.tracectx).
-        ctx = parent.tracer.context if parent.enabled else None
-        dispatch_id = parent.tracer.active_span_id if ctx is not None else None
-        chaos = chaos_from_env()
-        jobs = []
-        for config, chunk in todo:
-            job = {
-                "switch": switch,
-                "chunk": chunk,
-                "config": config,
-                "shard": config["index"],
-            }
-            if payload:
-                job["plans"] = payload
-            if chaos:
-                job["chaos"] = dict(chaos)
-            if ctx is not None:
-                job["trace"] = ctx.ship(
-                    parent_id=dispatch_id, prefix=f"certify-{config['index']}"
-                )
-            jobs.append(job)
+    dispatched = {config["index"] for config, _ in todo}
 
-        def persist(position: int, outcome) -> None:
-            if checkpoint is not None and outcome is not None:
-                checkpoint.record(todo[position][0]["index"], outcome[0])
+    def persist(position: int, outcome) -> None:
+        if checkpoint is not None:
+            checkpoint.record(todo[position][0]["index"], outcome[0])
 
-        fresh: dict[int, tuple] = {}
-        if jobs:
-            supervisor = ShardSupervisor(
-                pool, policy, plan_keys=[plan_key], label="certify"
-            )
-            outcomes = supervisor.run(_certify_chunk_job, jobs, on_result=persist)
-            fresh = {
-                todo[i][0]["index"]: outcome
-                for i, outcome in enumerate(outcomes)
-                if outcome is not None
-            }
-        for config, chunk in tasks:
-            if cert.violations_truncated:
-                break
-            index = config["index"]
-            if index in fresh:
-                report, snapshot = fresh[index]
-                if parent.enabled:
-                    merge_portable(parent, snapshot, worker=f"certify-{index}")
-                fold(config, report)
-            else:
-                fold(config, checkpoint.report(index))
+    fresh = fan_out(
+        _certify_chunk_job,
+        [
+            {"switch": switch, "chunk": chunk, "config": config,
+             "shard": config["index"]}
+            for config, chunk in todo
+        ],
+        label="certify",
+        workers=workers,
+        plan_keys=[getattr(getattr(switch, "_plan", None), "key", None)],
+        policy=policy,
+        on_result=persist,
+    )
+    for config, _ in tasks:
+        if cert.violations_truncated:
+            break
+        index = config["index"]
+        fold(config, next(fresh) if index in dispatched else checkpoint.report(index))
 
 
 def _checkpoint_path(checkpoint_dir, name: str, switch) -> str | None:

@@ -326,16 +326,18 @@ class TestThreadLocalRegistry:
         assert paths == ["main.work"]  # no worker.work under main.work
 
 
+def _counting_measure(value):
+    # Module level: with workers > 1 the sweep pickles it to the pool.
+    obs.counter("sim.rounds").inc(value)
+    return {"doubled": value * 2}
+
+
 class TestSweepMergesWorkers:
     def test_parallel_sweep_merges_metrics_in_order(self):
         from repro.analysis.sweep import sweep
 
-        def measure(value):
-            obs.counter("sim.rounds").inc(value)
-            return {"doubled": value * 2}
-
         with obs.collecting() as registry:
-            rows = sweep([1, 2, 3], measure, workers=3)
+            rows = sweep([1, 2, 3], _counting_measure, workers=2)
         assert [r["doubled"] for r in rows] == [2, 4, 6]
         snap = registry.snapshot()
         assert snap["counters"]["sim.rounds"] == 6

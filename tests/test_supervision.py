@@ -284,6 +284,90 @@ class TestCertifyChaos:
         assert supervision["worker_deaths"] >= 1
 
 
+def _seeded_draw(value, rng):
+    # Module level: the sweep pickles it to the pool.
+    return {"value": value, "draw": float(rng.random())}
+
+
+class TestFanOutChaos:
+    """``repro compare`` and ``analysis.sweep`` fan out through the same
+    supervised ``fan_out`` as certify and the sharded backend: a killed
+    worker costs a retry, and the output stays byte-identical."""
+
+    COMPARE = [
+        "compare", "--switch", "revsort", "--n", "64", "--m", "48",
+        "--trials", "16", "--seed", "1", "--workers", "2",
+        "--format", "json",
+    ]
+
+    def _kill_once(self, tmp_path, monkeypatch):
+        monkeypatch.setenv("REPRO_CHAOS", "kill")
+        monkeypatch.setenv("REPRO_CHAOS_TOKEN", _chaos_token(tmp_path))
+
+    def test_worker_kill_mid_compare_is_byte_identical(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        from repro.cli import main
+
+        metrics = tmp_path / "metrics.json"
+        argv = self.COMPARE + ["--metrics-out", str(metrics)]
+        assert main(argv) == 0
+        clean = capsys.readouterr().out
+        self._kill_once(tmp_path, monkeypatch)
+        assert main(argv) == 0
+        assert capsys.readouterr().out == clean
+        counters = json.loads(metrics.read_text())["counters"]
+        assert counters.get("engine.shard_retries", 0) >= 1
+
+    def test_worker_kill_mid_sweep_is_byte_identical(self, tmp_path, monkeypatch):
+        from repro.analysis.sweep import sweep
+
+        params = [1, 2, 3, 4]
+        clean = sweep(params, _seeded_draw, seed=5, workers=2)
+        self._kill_once(tmp_path, monkeypatch)
+        with obs.collecting() as registry:
+            killed = sweep(params, _seeded_draw, seed=5, workers=2)
+        assert json.dumps(killed) == json.dumps(clean)
+        assert registry.snapshot()["counters"].get("engine.shard_retries", 0) >= 1
+
+
+class TestSpawnStartMethod:
+    """Under ``spawn`` the workers inherit no plans, so every plan ships
+    in the job payload; results must match the ``fork`` run byte for
+    byte."""
+
+    def test_spawn_pool_matches_fork(self, monkeypatch, rng):
+        import multiprocessing
+
+        from repro.engine.backends import pool as pool_module
+
+        switch = RevsortSwitch(256, 192)
+        backend = get_backend("process", workers=2, shard_trials=256)
+        valid = rng.random((1024, switch.n)) < 0.5
+        spec = StreamSpec(trials=2048, seed=3, load="mixed", shard_trials=512)
+
+        def run():
+            return (
+                backend.run_stream(switch, spec),
+                backend.run_trials(switch, valid).input_to_output.tobytes(),
+            )
+
+        forked = run()
+        pool_module.shutdown_pools()
+        monkeypatch.setattr(
+            pool_module, "_mp_context",
+            lambda: multiprocessing.get_context("spawn"),
+        )
+        try:
+            spawned = run()
+            executor = pool_module.shared_pool(2)._executor
+            assert executor is not None  # the rounds ran on the pool
+            assert executor._mp_context.get_start_method() == "spawn"
+        finally:
+            pool_module.shutdown_pools()
+        assert spawned == forked
+
+
 class TestCheckpoint:
     DESIGN = ("revsort", {"n": 16, "m": 12})
 
