@@ -5,7 +5,7 @@ Six subcommands mirroring the paper's artifacts::
     python -m repro table1  --n 4096 --m 3072
     python -m repro design  --n 1024 --m 768 --pin-budget 150
     python -m repro simulate --switch revsort --n 256 --m 192 --load 0.5
-    python -m repro verify  --switch columnsort --r 64 --s 8 --m 384 --batch
+    python -m repro verify  --switch columnsort --r 64 --s 8 --m 384 --backend batch
     python -m repro certify revsort --out certificates/
     python -m repro faults inject --switch revsort --n 64 --m 48 --fault chip:0:1
     python -m repro faults sweep --smoke --out fault-certificates/
@@ -25,7 +25,8 @@ Six subcommands mirroring the paper's artifacts::
 * ``simulate`` runs a traffic simulation and reports delivery/loss;
 * ``verify`` randomly checks a switch's partial-concentration contract
   and measured ε against its theorem bound, exiting nonzero on any
-  violation (``--batch`` runs the trials through the vectorised engine);
+  violation (``--backend batch`` runs the trials through the vectorised
+  engine, ``--backend process`` through the sharded engine backend);
 * ``certify`` *enumerates* valid-bit patterns (exhaustively for small
   n, stratified per load level above) through the batch engine, the
   scalar oracle, and the gate netlists, and emits certificate JSONs
@@ -468,14 +469,14 @@ def cmd_verify(args: argparse.Namespace) -> int:
     switch = _build_switch(args)
     rng = default_rng(args.seed)
     spec = switch.spec
-    mode = args.backend or ("batch" if args.batch else "scalar")
+    mode = args.backend
     tracks_eps = hasattr(switch, "final_positions")
     worst_eps: int | None = 0 if tracks_eps else None
     if mode == "process":
         # The sharded multiprocess backend: trials are generated per
         # SeedSequence-keyed shard, so the measured ε/α are identical
         # for any --workers count (but differ from the sequential
-        # --batch draw order).
+        # --backend batch draw order).
         from repro.engine import StreamSpec, get_backend, resolve_workers
 
         backend = get_backend("process", workers=resolve_workers(args.workers))
@@ -1753,18 +1754,12 @@ def build_parser() -> argparse.ArgumentParser:
         else:
             p.add_argument("--trials", type=int, default=100)
             p.add_argument(
-                "--batch",
-                action="store_true",
-                help="verify through the batched engine path "
-                "(setup_batch + vectorised contract checks); "
-                "alias for --backend batch",
-            )
-            p.add_argument(
                 "--backend",
                 choices=["scalar", "batch", "process"],
-                default=None,
-                help="engine backend (default scalar; process = sharded "
-                "multiprocess engine, see --workers)",
+                default="scalar",
+                help="verification path: scalar = per-trial setup, "
+                "batch = setup_batch + vectorised contract checks, "
+                "process = sharded engine backend (see --workers)",
             )
             p.add_argument(
                 "--workers",

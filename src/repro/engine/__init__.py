@@ -1,6 +1,6 @@
 """repro.engine — batched execution engine.
 
-Three pieces turn the per-trial scalar simulation stack into an
+Four pieces turn the per-trial scalar simulation stack into an
 array-at-once engine:
 
 * **compiled stage plans** (:mod:`repro.engine.plan`) — each switch
@@ -14,7 +14,11 @@ array-at-once engine:
   every stage executed on 2-D arrays (one row per trial);
 * **bit-parallel gate evaluation** —
   :func:`repro.gates.evaluate.evaluate` packs 64 trials per ``uint64``
-  lane and evaluates a levelized netlist with bitwise ops.
+  lane and evaluates a levelized netlist with bitwise ops;
+* **the sharded backend** (:mod:`repro.engine.backends`) —
+  ``get_backend("process", workers=W)`` runs a seeded trial stream in
+  position-keyed shards, inline or over a supervised process pool,
+  with results identical for any worker count.
 
 The scalar paths stay the correctness oracle: they read the compiled
 chip layers but rank each chip with their own full stable argsort, and
@@ -35,12 +39,9 @@ from repro.engine.batch import (
     validate_batch_partial_concentration,
 )
 from repro.engine.backends import (
-    EngineBackend,
     StreamSpec,
     StreamSummary,
-    backend_names,
     get_backend,
-    register_backend,
     resolve_workers,
 )
 from repro.engine.plan import (
@@ -54,20 +55,19 @@ from repro.engine.plan import (
     comparator_stages,
     fixed_permutation,
     plan_cache,
+    plan_key,
 )
 
 __all__ = [
     "BatchRouting",
     "ChipLayer",
     "ComparatorPlan",
-    "EngineBackend",
     "FixedPermutation",
     "PLAN_CACHE",
     "PlanCache",
     "StagePlan",
     "StreamSpec",
     "StreamSummary",
-    "backend_names",
     "chip_layer",
     "comparator_stages",
     "concentrate_plan_batch",
@@ -76,8 +76,8 @@ __all__ = [
     "hyperconcentrate_batch",
     "nearsortedness_batch",
     "plan_cache",
+    "plan_key",
     "prefix_ranks_batch",
-    "register_backend",
     "resolve_workers",
     "run_comparator_plan",
     "run_plan",

@@ -1,45 +1,28 @@
-"""The engine backend protocol.
+"""The deterministic trial-stream contract of the sharded backend.
 
-Every de-facto execution path of the repo — the per-trial scalar
-oracle, the vectorized numpy batch engine, the bit-packed gate
-evaluator — is an *engine backend*: something that takes a ``(B, n)``
-valid-bit array and produces routings (or, for the gate path, output
-occupancies).  This module makes that implicit family explicit:
+* :class:`StreamSpec` — a stream of random trials, split into shards
+  whose bounds depend only on the trial count;
+* :func:`shard_valid` — the shard trial generator: each shard draws
+  its rows from its own ``SeedSequence(seed).spawn(n_shards)`` child,
+  keyed by shard position;
+* :func:`summarize_batch` / :class:`StreamSummary` — the O(1) per-shard
+  reduction and its associative, commutative fold.
 
-* :class:`EngineBackend` — the small interface (``run_trials``,
-  ``run_occupancy``, ``run_stream``, ``capabilities``, ``plan_key``);
-* a named registry (:func:`register_backend` / :func:`get_backend` /
-  :func:`backend_names`) behind the CLI ``--backend`` selector;
-* :class:`StreamSpec` / :class:`StreamSummary` — the deterministic
-  trial-stream contract shared by every backend: trials are generated
-  per *shard* from ``SeedSequence(seed).spawn(n_shards)`` children
-  keyed by shard position, so the stream's ε/α results are identical
-  for any worker count (and for the serial fallback).
-
-Backends declaring the ``parallel`` capability (the sharded
-multiprocess backend in :mod:`repro.engine.backends.sharded`) fan the
-shards out over a persistent process pool; everything else runs them
-in-process through exactly the same shard plan.
+Together these make a stream's ε/α results identical for any worker
+count: :class:`~repro.engine.backends.sharded.ShardedBackend` runs the
+same shard plan inline at ``workers == 1`` and over the process pool
+otherwise.
 """
 
 from __future__ import annotations
 
 import os
 from dataclasses import dataclass, field
-from typing import Callable
 
 import numpy as np
 
-from repro import obs
 from repro.core.concentration import partial_concentration_failures
 from repro.errors import ConfigurationError, ReproError
-
-#: Capability tags a backend may declare.
-CAP_ROUTING = "routing"  #: run_trials produces full BatchRouting rows
-CAP_OCCUPANCY = "occupancy"  #: run_occupancy produces output occupancies
-CAP_STREAM = "stream"  #: run_stream folds a sharded trial stream
-CAP_PARALLEL = "parallel"  #: shards fan out across processes
-CAP_SUPERVISED = "supervised"  #: pool dispatch survives worker death
 
 #: Trials per shard when a stream spec does not say otherwise.  Small
 #: enough that peak memory stays flat at 10^7+ trials, large enough
@@ -97,7 +80,7 @@ class StreamSpec:
 def shard_valid(
     n: int, count: int, entropy: np.random.SeedSequence, load: str
 ) -> np.ndarray:
-    """The shard trial generator every backend shares: ``count`` rows
+    """The shard trial generator: ``count`` rows
     of valid bits drawn from a generator seeded by the shard's own
     SeedSequence child."""
     rng = np.random.default_rng(entropy)
@@ -201,101 +184,10 @@ def summarize_batch(
     )
 
 
-class EngineBackend:
-    """One execution path behind the ``--backend`` selector.
-
-    Subclasses set :attr:`name`, declare :meth:`capabilities`, and
-    implement :meth:`run_trials` (routing backends) or
-    :meth:`run_occupancy` (gate backends).  :meth:`run_stream` has a
-    serial default that every backend inherits; the multiprocess
-    backend overrides it to fan shards over the worker pool.
-    """
-
-    name = "abstract"
-
-    def capabilities(self) -> frozenset:
-        raise NotImplementedError
-
-    def plan_key(self, switch) -> tuple | None:
-        """The switch's compiled-plan cache key, or None for switches
-        without a plan (accessing it compiles the plan as a side
-        effect, which is exactly what warm-start shipping needs)."""
-        plan = getattr(switch, "_plan", None)
-        return getattr(plan, "key", None)
-
-    def run_trials(self, switch, valid: np.ndarray):
-        """Route a ``(B, n)`` trial array; returns a
-        :class:`~repro.engine.batch.BatchRouting`."""
-        raise ConfigurationError(
-            f"backend {self.name!r} cannot produce routings "
-            f"(capabilities: {', '.join(sorted(self.capabilities()))})"
-        )
-
-    def run_occupancy(self, switch, valid: np.ndarray) -> np.ndarray | None:
-        """Output occupancy bits per trial, or None where the switch
-        cannot report final positions."""
-        from repro.verify.differential import output_occupancy
-
-        return output_occupancy(switch, self.run_trials(switch, valid))
-
-    def run_stream(self, switch, spec: StreamSpec) -> StreamSummary:
-        """Generate and reduce ``spec.trials`` random trials, shard by
-        shard (the serial reference fold; see module docstring)."""
-        shards = spec.shards()
-        children = np.random.SeedSequence(spec.seed).spawn(max(1, len(shards)))
-        summary = StreamSummary()
-        for index, (start, stop) in enumerate(shards):
-            obs.counter("engine.shards", backend=self.name).inc()
-            valid = shard_valid(switch.n, stop - start, children[index], spec.load)
-            summary = summary.fold(
-                summarize_batch(
-                    switch,
-                    self.run_trials(switch, valid),
-                    start=start,
-                    check_contract=spec.check_contract,
-                    measure_epsilon=spec.measure_epsilon,
-                )
-            )
-        return summary
-
-
-#: name -> factory(workers=...) for every registered backend.
-_BACKENDS: dict[str, Callable[..., EngineBackend]] = {}
-
-
-def register_backend(name: str, factory: Callable[..., EngineBackend]) -> None:
-    _BACKENDS[name] = factory
-
-
-def backend_names() -> list[str]:
-    return sorted(_BACKENDS)
-
-
-def get_backend(name: str, *, workers: int = 1, **options) -> EngineBackend:
-    """Instantiate a registered backend.  ``workers`` is forwarded to
-    backends that fan out and ignored by the single-process ones."""
-    factory = _BACKENDS.get(name)
-    if factory is None:
-        raise ConfigurationError(
-            f"unknown engine backend {name!r}; available: "
-            f"{', '.join(backend_names())}"
-        )
-    return factory(workers=workers, **options)
-
-
 __all__ = [
-    "CAP_OCCUPANCY",
-    "CAP_PARALLEL",
-    "CAP_ROUTING",
-    "CAP_STREAM",
-    "CAP_SUPERVISED",
     "DEFAULT_SHARD_TRIALS",
-    "EngineBackend",
     "StreamSpec",
     "StreamSummary",
-    "backend_names",
-    "get_backend",
-    "register_backend",
     "resolve_workers",
     "shard_valid",
     "summarize_batch",

@@ -2,22 +2,16 @@
 
 One :class:`WorkerPool` per worker count lives for the whole process
 (created lazily, shut down atexit), so plan compilation, interpreter
-startup, and numpy import are paid once — not per ``run_trials`` call.
+startup, and numpy import are paid once — not per dispatch round.
 
-Three pieces of process-boundary plumbing live here:
+Two pieces of process-boundary plumbing live here:
 
 * **plan shipping** — compiled ``StagePlan``/``ComparatorPlan`` arrays
   cross the boundary once per ``(type, n, m)`` key via
   ``PlanCache.snapshot()``/``restore()`` (never rebuilt per shard).
   Under the ``fork`` start method the pool's children additionally
-  inherit every plan that existed when the pool was created, so the
-  payload only covers keys compiled afterwards.
-* **shared-memory buffers** — :func:`create_shm` / :func:`attach_shm`
-  wrap ``multiprocessing.shared_memory`` so trial arrays (uint8 valid
-  bits in, int32 positions out) avoid pickling.  ``attach_shm``
-  unregisters the segment from the child's resource tracker: on
-  CPython < 3.13 attaching registers it, and the tracker would unlink
-  the parent's segment when the child exits.
+  inherit every plan compiled before the first submit forks them, so
+  the payload only covers keys compiled afterwards.
 * **collected execution** — :func:`run_collected` runs a job under a
   private :mod:`repro.obs` registry, samples the worker's own process
   vitals (``proc.rss_kb`` et al. — the parent's resource sampler only
@@ -36,9 +30,6 @@ import multiprocessing
 import os
 import time
 from concurrent.futures import ProcessPoolExecutor
-from multiprocessing import shared_memory
-
-import numpy as np
 
 from repro import obs
 from repro.engine.plan import PLAN_CACHE
@@ -47,83 +38,6 @@ from repro.engine.plan import PLAN_CACHE
 def _mp_context():
     methods = multiprocessing.get_all_start_methods()
     return multiprocessing.get_context("fork" if "fork" in methods else "spawn")
-
-
-#: Names of parent-owned segments not yet unlinked — the orphan set
-#: :func:`sweep_orphan_shm` reclaims if a dispatch round dies between
-#: creation and its own cleanup.
-_LIVE_SHM: set[str] = set()
-
-
-def create_shm(nbytes: int) -> shared_memory.SharedMemory:
-    """A fresh shared-memory segment owned (and later unlinked) by the
-    caller."""
-    shm = shared_memory.SharedMemory(create=True, size=max(1, nbytes))
-    _LIVE_SHM.add(shm.name)
-    return shm
-
-
-def release_shm(shm: shared_memory.SharedMemory) -> None:
-    """Close and unlink a parent-owned segment (idempotent)."""
-    _LIVE_SHM.discard(shm.name)
-    with contextlib.suppress(Exception):
-        shm.close()
-    with contextlib.suppress(FileNotFoundError):
-        shm.unlink()
-
-
-@contextlib.contextmanager
-def shm_segments(*sizes: int):
-    """Create one segment per requested size, releasing every segment
-    that was successfully created on *any* exit path — including a
-    failure partway through allocation, which used to leak the earlier
-    segments."""
-    segments: list[shared_memory.SharedMemory] = []
-    try:
-        for nbytes in sizes:
-            segments.append(create_shm(nbytes))
-        yield segments
-    finally:
-        for shm in segments:
-            release_shm(shm)
-
-
-def sweep_orphan_shm() -> int:
-    """Unlink any parent-owned segments still registered (a dispatch
-    round died before its own cleanup); returns the number swept.
-    Called by :func:`shutdown_pools`, so pool shutdown leaves no
-    segments behind even after a crash."""
-    swept = 0
-    for name in sorted(_LIVE_SHM):
-        with contextlib.suppress(Exception):
-            shm = shared_memory.SharedMemory(name=name)
-            shm.close()
-            shm.unlink()
-            swept += 1
-    _LIVE_SHM.clear()
-    return swept
-
-
-def attach_shm(name: str) -> shared_memory.SharedMemory:
-    """Attach to a parent-owned segment from a worker process without
-    adopting unlink responsibility.
-
-    Only needed under ``spawn``: there each worker runs its own
-    resource tracker, which (CPython < 3.13) registers the segment on
-    attach and would unlink the parent's memory when the worker exits.
-    Under ``fork`` the workers share the parent's tracker, whose
-    registration set already holds the name, so no action is needed
-    (and an extra unregister would double-remove).
-    """
-    shm = shared_memory.SharedMemory(name=name)
-    if "fork" not in multiprocessing.get_all_start_methods():
-        try:  # pragma: no cover - tracker layout is a CPython detail
-            from multiprocessing import resource_tracker
-
-            resource_tracker.unregister(shm._name, "shared_memory")
-        except Exception:
-            pass
-    return shm
 
 
 def _sample_worker_vitals() -> None:
@@ -240,7 +154,8 @@ class WorkerPool:
             self._shipped = set()
             self._inherited = set()
             if ctx.get_start_method() == "fork":
-                # Children forked now inherit every already-compiled plan.
+                # The children fork at the first submit and inherit
+                # every plan compiled by then.
                 self._inherited = PLAN_CACHE.keys()
             self._executor = ProcessPoolExecutor(
                 max_workers=self.workers, mp_context=ctx
@@ -272,7 +187,13 @@ class WorkerPool:
         jobs: plans the pool's workers cannot already have.  Keys ship
         once — callers attach the payload to every job of the round
         that first needs them, and restore() in the worker is an
-        idempotent no-op for plans it already holds."""
+        idempotent no-op for plans it already holds.
+
+        The executor is resolved first: its creation resets the shipped
+        and inherited sets, and under ``fork`` it records every plan
+        compiled so far as inherited (the children fork at the first
+        submit, after this payload is built)."""
+        self.executor  # noqa: B018 - resolving it sets _inherited
         wanted = [
             key
             for key in keys
@@ -312,14 +233,7 @@ def shutdown_pools() -> None:
     for pool in _POOLS.values():
         pool.shutdown()
     _POOLS.clear()
-    sweep_orphan_shm()
 
 
 atexit.register(shutdown_pools)
 
-
-def as_shm_array(
-    shm: shared_memory.SharedMemory, shape: tuple, dtype
-) -> np.ndarray:
-    """View a segment as an ndarray (no copy)."""
-    return np.ndarray(shape, dtype=dtype, buffer=shm.buf)

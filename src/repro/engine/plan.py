@@ -299,3 +299,10 @@ PLAN_CACHE = PlanCache()
 def plan_cache() -> PlanCache:
     """The process-wide :class:`PlanCache`."""
     return PLAN_CACHE
+
+
+def plan_key(switch) -> tuple | None:
+    """The switch's compiled-plan cache key, or None for switches
+    without a plan.  Reading it compiles the plan as a side effect,
+    which is what warm-start shipping to pool workers needs."""
+    return getattr(getattr(switch, "_plan", None), "key", None)

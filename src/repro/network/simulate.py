@@ -258,65 +258,42 @@ def compare_partial_vs_perfect(
     (n/α, m/α, α) partial concentrator standing in for it.  The paper's
     claim: for k ≤ m both route k; for k > m both route (at least) m.
 
-    ``workers=0`` (the default) preserves the legacy serial draw order
-    exactly.  ``workers >= 1`` switches to the batched engine path: each
-    (switch, k) work item gets its own ``SeedSequence`` child keyed by
-    its position and its trials run through :meth:`setup_batch`;
-    ``workers > 1`` fans the items out over the supervised process pool
+    Each (switch, k) work item gets its own ``SeedSequence`` child
+    keyed by its position and runs its trials through
+    :meth:`setup_batch`.  ``workers <= 1`` runs the items inline;
+    ``workers > 1`` fans them out over the supervised process pool
     (:func:`repro.engine.backends.supervisor.fan_out`), with each item's
     metrics merged back in work-list order under ``perfect-k<k>`` /
     ``partial-k<k>`` provenance.  The results are identical for any
-    worker count, but differ from the serial draw order.
+    worker count.
     """
-    if workers >= 1:
-        items = [(sw, k) for k in k_values for sw in (perfect, partial)]
-        children = np.random.SeedSequence(seed).spawn(len(items))
-        jobs = [
-            {"switch": sw, "k": k, "trials": trials, "entropy": child}
-            for (sw, k), child in zip(items, children)
-        ]
-        if workers > 1:
-            from repro.engine.backends.supervisor import fan_out
+    items = [(sw, k) for k in k_values for sw in (perfect, partial)]
+    children = np.random.SeedSequence(seed).spawn(len(items))
+    jobs = [
+        {"switch": sw, "k": k, "trials": trials, "entropy": child}
+        for (sw, k), child in zip(items, children)
+    ]
+    if workers > 1:
+        from repro.engine.backends.supervisor import fan_out
+        from repro.engine.plan import plan_key
 
-            means = list(
-                fan_out(
-                    _compare_job,
-                    jobs,
-                    label="compare",
-                    workers=workers,
-                    plan_keys=[
-                        getattr(getattr(sw, "_plan", None), "key", None)
-                        for sw in (perfect, partial)
-                    ],
-                    names=[
-                        f"{kind}-k{k}"
-                        for k in k_values
-                        for kind in ("perfect", "partial")
-                    ],
-                )
+        means = list(
+            fan_out(
+                _compare_job,
+                jobs,
+                label="compare",
+                workers=workers,
+                plan_keys=[plan_key(sw) for sw in (perfect, partial)],
+                names=[
+                    f"{kind}-k{k}"
+                    for k in k_values
+                    for kind in ("perfect", "partial")
+                ],
             )
-        else:
-            means = [_compare_job(job) for job in jobs]
-        return {
-            k: {"perfect": means[2 * i], "partial": means[2 * i + 1]}
-            for i, k in enumerate(k_values)
-        }
-
-    rng = default_rng(seed)
-    results: dict[int, dict[str, float]] = {}
-    for k in k_values:
-        routed_perfect = []
-        routed_partial = []
-        for _ in range(trials):
-            vp = np.zeros(perfect.n, dtype=bool)
-            vp[rng.choice(perfect.n, size=min(k, perfect.n), replace=False)] = True
-            routed_perfect.append(perfect.setup(vp).routed_count)
-
-            vq = np.zeros(partial.n, dtype=bool)
-            vq[rng.choice(partial.n, size=min(k, partial.n), replace=False)] = True
-            routed_partial.append(partial.setup(vq).routed_count)
-        results[k] = {
-            "perfect": float(np.mean(routed_perfect)),
-            "partial": float(np.mean(routed_partial)),
-        }
-    return results
+        )
+    else:
+        means = [_compare_job(job) for job in jobs]
+    return {
+        k: {"perfect": means[2 * i], "partial": means[2 * i + 1]}
+        for i, k in enumerate(k_values)
+    }

@@ -209,8 +209,8 @@ def _quality_factory(
 ):
     """Thm-3/4 quality bench: batch-verify the contract and measure the
     worst nearsortedness over random mixed-load trials — the workload
-    behind ``repro verify --batch`` — with the delay-in-gates theory
-    line recorded for the trajectory report."""
+    behind ``repro verify --backend batch`` — with the delay-in-gates
+    theory line recorded for the trajectory report."""
 
     def make() -> Workload:
         from repro.engine import (
@@ -252,9 +252,9 @@ def _quality_factory(
 
 def _stream_factory(build: Callable[[], object], trials: int):
     """Checked stream shard: ``trials`` mixed-load trials as one shard
-    of the batch backend's stream, with the contract check and the ε
-    measurement on — the per-shard body of ``repro verify --backend
-    process``.  Raises :class:`~repro.errors.ConcentrationError` on a
+    of the sharded backend's stream, run inline, with the contract
+    check and the ε measurement on — the per-shard body of ``repro
+    verify --backend process``.  Raises :class:`~repro.errors.ConcentrationError` on a
     violation."""
 
     def make() -> Workload:
@@ -262,7 +262,7 @@ def _stream_factory(build: Callable[[], object], trials: int):
 
         switch = build()
         _warm(switch)
-        backend = get_backend("batch")
+        backend = get_backend("process", workers=1)
         stream = StreamSpec(trials=trials, seed=DEFAULT_SEED, shard_trials=trials)
 
         def run(rng: np.random.Generator) -> int:

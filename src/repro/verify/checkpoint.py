@@ -18,7 +18,9 @@ fingerprint is checked on resume: a checkpoint taken under different
 options describes different chunks, so reusing it would silently
 corrupt the certificate; that's a :class:`~repro.errors.ConfigurationError`.
 A truncated trailing line (the run died mid-write) is discarded — that
-chunk simply re-runs.
+chunk simply re-runs.  A line that decodes but is not a header or a
+chunk record is a :class:`~repro.errors.ConfigurationError` naming the
+file and the line.
 """
 
 from __future__ import annotations
@@ -87,7 +89,7 @@ class CertifyCheckpoint:
         if not self.path.exists():
             return
         with open(self.path, encoding="utf-8") as fh:
-            for line in fh:
+            for lineno, line in enumerate(fh, 1):
                 line = line.strip()
                 if not line:
                     continue
@@ -97,6 +99,12 @@ class CertifyCheckpoint:
                     # The previous run died mid-write; the partial
                     # record's chunk re-runs.
                     continue
+                where = f"{self.path}:{lineno}"
+                if not isinstance(frame, dict):
+                    raise ConfigurationError(
+                        f"{where} is not a checkpoint record "
+                        f"(expected an object, got {type(frame).__name__})"
+                    )
                 if not self._header_seen:
                     if frame.get("schema") != SCHEMA:
                         raise ConfigurationError(
@@ -111,7 +119,15 @@ class CertifyCheckpoint:
                         )
                     self._header_seen = True
                     continue
-                self._reports[int(frame["index"])] = _decode_report(frame["report"])
+                try:
+                    index = int(frame["index"])
+                    report = _decode_report(frame["report"])
+                except (KeyError, TypeError, ValueError, AttributeError) as exc:
+                    raise ConfigurationError(
+                        f"{where} is not a valid checkpoint record "
+                        f"({type(exc).__name__}: {exc})"
+                    ) from None
+                self._reports[index] = report
 
     def _write_line(self, frame: dict) -> None:
         self._fh.write(json.dumps(frame, separators=(",", ":")) + "\n")

@@ -395,6 +395,7 @@ def _certify_parallel(
     below still runs in chunk order.
     """
     from repro.engine.backends.supervisor import fan_out
+    from repro.engine.plan import plan_key
 
     todo = [
         (config, chunk)
@@ -416,7 +417,7 @@ def _certify_parallel(
         ],
         label="certify",
         workers=workers,
-        plan_keys=[getattr(getattr(switch, "_plan", None), "key", None)],
+        plan_keys=[plan_key(switch)],
         policy=policy,
         on_result=persist,
     )

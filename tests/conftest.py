@@ -58,3 +58,26 @@ def gate_fold(circuit: Circuit, inputs: np.ndarray, forces=None) -> np.ndarray:
             values.append(bool(forces.get(gate.output, value)))
         out[b] = values
     return out[0] if arr.ndim == 1 else out
+
+
+def serial_stream(switch, spec):
+    """Reference stream fold, without the backend's dispatch: each
+    shard's rows from its position-keyed ``SeedSequence`` child, routed
+    by ``setup_batch``, summarised and folded in shard order."""
+    from repro.engine.backends import StreamSummary, shard_valid, summarize_batch
+
+    shards = spec.shards()
+    children = np.random.SeedSequence(spec.seed).spawn(max(1, len(shards)))
+    summary = StreamSummary()
+    for index, (start, stop) in enumerate(shards):
+        valid = shard_valid(switch.n, stop - start, children[index], spec.load)
+        summary = summary.fold(
+            summarize_batch(
+                switch,
+                switch.setup_batch(valid),
+                start=start,
+                check_contract=spec.check_contract,
+                measure_epsilon=spec.measure_epsilon,
+            )
+        )
+    return summary

@@ -1,5 +1,5 @@
 """CLI exit codes and machine-readable stdout for the verification
-commands: ``verify --batch``, ``compare``, and the new ``certify``.
+commands: ``verify --backend batch``, ``compare``, and the new ``certify``.
 
 The ``--format json`` outputs are pinned as golden snapshots under
 ``tests/golden/`` — any schema or behaviour drift trips these tests.
@@ -27,7 +27,8 @@ def _golden(name: str) -> dict | list:
 class TestVerifyBatchJson:
     ARGS = [
         "verify", "columnsort", "--r", "8", "--s", "2", "--m", "12",
-        "--batch", "--trials", "40", "--seed", "3", "--format", "json",
+        "--backend", "batch", "--trials", "40", "--seed", "3",
+        "--format", "json",
     ]
 
     def test_matches_golden_snapshot(self, capsys):
@@ -37,7 +38,7 @@ class TestVerifyBatchJson:
         )
 
     def test_batch_mode_reports_epsilon(self, capsys):
-        """PR 3 fix: --batch used to print '-' for worst ε; it now
+        """The batch path used to print '-' for worst ε; it now
         measures through final_positions_batch."""
         assert main(self.ARGS) == 0
         doc = json.loads(capsys.readouterr().out)

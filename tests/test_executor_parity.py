@@ -1,7 +1,7 @@
 """In-thread vs process-pool parity.
 
 ``analysis.sweep.sweep`` and ``simulate.compare_partial_vs_perfect``
-run their work items in the calling thread at ``workers=1`` and over
+run their work items in the calling thread at ``workers <= 1`` and over
 the supervised process pool at ``workers > 1``.  Both promise identical
 results (and, for ``sweep``, a match with serial) for any worker count:
 work items are seeded by position via ``SeedSequence.spawn``, never by
@@ -64,12 +64,16 @@ class TestComparePartialVsPerfectExecutorParity:
 
     def test_thread_and_process_match(self):
         perfect, partial = self._switches()
+        zero = compare_partial_vs_perfect(
+            perfect, partial, workers=0, **self.KW
+        )
         one = compare_partial_vs_perfect(
             perfect, partial, workers=1, **self.KW
         )
         processed = compare_partial_vs_perfect(
             perfect, partial, workers=2, **self.KW
         )
+        assert zero == one
         assert processed == one
 
     def test_process_parity_with_telemetry_enabled(self):

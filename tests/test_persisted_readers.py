@@ -70,3 +70,45 @@ def test_obs_analyze_on_a_truncated_journal_exits_2(tmp_path, capsys):
     path.write_text(f'{_JOURNAL_HEAD}\n{{"type": "counter", "ke', encoding="utf-8")
     assert main(["obs", "analyze", str(path)]) == 2
     assert f"{path}:2" in capsys.readouterr().err
+
+
+#: case -> (whether a valid header comes first, the lines after it,
+#: the line number the error must name).  A torn tail is skipped, not
+#: an error (``test_supervision::TestCheckpoint``).
+CHECKPOINT_CASES = {
+    "non-object-header": (False, ["[1]"], 1),
+    "non-object-record": (True, ["[1]"], 2),
+    "record-without-fields": (True, ['{"report": {}}'], 2),
+    "report-without-fields": (True, ['{"index": 0, "report": {}}'], 2),
+    "report-not-an-object": (True, ['{"index": 0, "report": 3}'], 2),
+}
+
+
+@pytest.mark.parametrize("case", sorted(CHECKPOINT_CASES))
+def test_corrupt_checkpoint_is_a_configuration_error(tmp_path, case):
+    from repro.verify.checkpoint import SCHEMA, CertifyCheckpoint
+
+    header, lines, lineno = CHECKPOINT_CASES[case]
+    head = [json.dumps({"schema": SCHEMA, "fingerprint": "f"})] if header else []
+    path = tmp_path / "ck.jsonl"
+    path.write_text("\n".join(head + lines) + "\n", encoding="utf-8")
+    with pytest.raises(ConfigurationError) as excinfo:
+        CertifyCheckpoint(path, "f")
+    assert f"{path}:{lineno}" in str(excinfo.value)
+    assert exit_code_for(excinfo.value) == 2
+
+
+def test_certify_on_a_corrupt_checkpoint_exits_2(tmp_path, capsys):
+    from repro.cli import main
+
+    argv = [
+        "certify", "hyper", "--n", "8", "--max-total", "64",
+        "--checkpoint", str(tmp_path),
+    ]
+    assert main(argv) == 0
+    (path,) = tmp_path.glob("*.jsonl")
+    with open(path, "a", encoding="utf-8") as fh:
+        fh.write("[1]\n")
+    capsys.readouterr()
+    assert main(argv) == 2
+    assert str(path) in capsys.readouterr().err

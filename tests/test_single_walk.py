@@ -31,6 +31,7 @@ from repro.switches.revsort_switch import RevsortSwitch
 from repro.verify import strategies as vst
 from repro.verify.differential import output_occupancy
 from repro.verify.patterns import pattern_hex
+from tests.conftest import serial_stream
 from tests.test_fault_injection import BrokenRotationSwitch
 
 REGISTRY_SWITCHES = [
@@ -257,19 +258,24 @@ class TestStreamViolationMessages:
         assert summary.violations == 8
         return summary.messages
 
+    def _reference_messages(self) -> tuple[str, ...]:
+        summary = serial_stream(DroppingRevsortSwitch(1024, 768), self.SPEC)
+        assert summary.violations == 8
+        return summary.messages
+
     def test_messages_name_distinct_stream_trials(self):
-        messages = self._messages(get_backend("batch"))
+        messages = self._messages(get_backend("process", workers=1))
         trials = [int(msg.split()[1]) for msg in messages]
         assert trials == list(range(8))
 
     def test_messages_carry_the_trial_pattern(self):
         children = np.random.SeedSequence(self.SPEC.seed).spawn(2)
         valid = shard_valid(1024, 4, children[1], self.SPEC.load)
-        messages = self._messages(get_backend("batch"))
+        messages = self._messages(get_backend("process", workers=1))
         assert messages[5].startswith(f"trial 5 [{pattern_hex(valid[1])}]: ")
 
     @pytest.mark.parametrize("workers", [1, 2])
     def test_process_backend_reports_the_same_messages(self, workers):
-        expected = self._messages(get_backend("batch"))
+        expected = self._reference_messages()
         got = self._messages(get_backend("process", workers=workers))
         assert got == expected

@@ -3,9 +3,9 @@
 ``repro verify --backend process`` folds per-shard summaries from
 trials each shard generates from its own ``SeedSequence`` child, so its
 stdout must be byte-identical for any worker count.  These snapshots
-pin that stdout and the batch backend's :class:`StreamSummary` for every
-registry certify config, so a change to how a shard is routed, checked
-or measured cannot move the stream's results unnoticed.
+pin that stdout and the inline (``workers=1``) :class:`StreamSummary`
+for every registry certify config, so a change to how a shard is
+routed, checked or measured cannot move the stream's results unnoticed.
 
 Regenerate the CLI snapshots with the commands in
 :data:`VERIFY_COMMANDS` (``PYTHONPATH=src python -m repro ...``, either
@@ -44,8 +44,8 @@ SUMMARY_FIELDS = ("routed_total", "min_routed", "worst_epsilon", "violations")
 
 
 def _summaries() -> list[dict]:
-    """The batch backend's stream fold for every registry certify config."""
-    backend = get_backend("batch")
+    """The inline stream fold for every registry certify config."""
+    backend = get_backend("process", workers=1)
     rows = []
     for name, params in registry.certify_configs():
         switch = registry.build_switch(name, **params)
