@@ -1372,13 +1372,22 @@ def cmd_bench_run(args: argparse.Namespace) -> int:
 def cmd_bench_compare(args: argparse.Namespace) -> int:
     import json
 
-    from repro.obs.perf.regression import compare_records, has_regressions
+    from repro.obs.perf.regression import (
+        DEFAULT_TOLERANCE,
+        DEFAULT_WINDOW,
+        compare_records,
+        has_regressions,
+    )
     from repro.obs.perf.trajectory import (
         latest_per_bench,
         read_trajectory,
         split_latest,
     )
 
+    if args.tolerance is None:
+        args.tolerance = DEFAULT_TOLERANCE
+    if args.window is None:
+        args.window = DEFAULT_WINDOW
     baseline_records = read_trajectory(args.baseline)
     if not baseline_records:
         raise ReproError(f"{args.baseline} holds no trajectory records")
@@ -1666,6 +1675,28 @@ def cmd_obs(args: argparse.Namespace) -> int:
             "compare, knockout, reproduce, faults sweep, flows and bench"
         )
     return 0
+
+
+class _LazyChoices:
+    """An argparse ``choices`` list that ``module.function()`` returns,
+    looked up only when an argument is checked or help is printed, so
+    building the parser imports neither module.  Set it on the action
+    after ``add_argument``, which would otherwise iterate it at once."""
+
+    def __init__(self, module: str, function: str) -> None:
+        self._source = (module, function)
+
+    def _names(self) -> list[str]:
+        import importlib
+
+        module, function = self._source
+        return getattr(importlib.import_module(module), function)()
+
+    def __contains__(self, value: object) -> bool:
+        return value in self._names()
+
+    def __iter__(self):
+        return iter(self._names())
 
 
 def _add_telemetry_flags(p: argparse.ArgumentParser) -> None:
@@ -2011,11 +2042,6 @@ def build_parser() -> argparse.ArgumentParser:
     flows_sub = p.add_subparsers(dest="flows_command", required=True)
     p.set_defaults(func=cmd_flows)
 
-    from repro.network.flows import fabric_names as _fabric_names
-    from repro.network.flows import (
-        size_distribution_names as _size_names,
-    )
-
     def _add_flows_workload_flags(fp: argparse.ArgumentParser) -> None:
         fp.add_argument(
             "--n", type=int, default=64,
@@ -2030,9 +2056,8 @@ def build_parser() -> argparse.ArgumentParser:
             help="arrival horizon in cycles (the run drains afterwards)",
         )
         fp.add_argument(
-            "--sizes", choices=_size_names(), default="websearch",
-            help="flow size mix",
-        )
+            "--sizes", default="websearch", help="flow size mix",
+        ).choices = _LazyChoices("repro.network.flows", "size_distribution_names")
         fp.add_argument(
             "--fixed-size", type=int, default=4,
             help="cells per flow for --sizes fixed",
@@ -2078,8 +2103,8 @@ def build_parser() -> argparse.ArgumentParser:
         "run", help="simulate one fabric over a seeded workload"
     )
     pf.add_argument(
-        "--fabric", choices=_fabric_names(), default="concentrator"
-    )
+        "--fabric", default="concentrator"
+    ).choices = _LazyChoices("repro.network.flows", "fabric_names")
     _add_flows_workload_flags(pf)
     pf.set_defaults(flows_func=cmd_flows_run)
 
@@ -2260,12 +2285,10 @@ def build_parser() -> argparse.ArgumentParser:
         help="run a registry-driven bench suite and append trajectory "
         "records",
     )
-    from repro.obs.perf.suite import suite_names as _suite_names
-
     pb.add_argument(
-        "--suite", choices=_suite_names(), default="smoke",
+        "--suite", default="smoke",
         help="which suite to run (smoke: CI-sized, full: paper-scale)",
-    )
+    ).choices = _LazyChoices("repro.obs.perf.suite", "suite_names")
     pb.add_argument("--repeats", type=int, default=3)
     pb.add_argument("--seed", type=int, default=0x1987)
     pb.add_argument(
@@ -2296,8 +2319,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="diff the newest record per bench against its baseline "
         "window; exits 1 on regression",
     )
-    from repro.obs.perf.regression import DEFAULT_TOLERANCE, DEFAULT_WINDOW
-
     pc.add_argument(
         "--baseline",
         default="BENCH_TRAJECTORY.jsonl",
@@ -2313,14 +2334,15 @@ def build_parser() -> argparse.ArgumentParser:
     pc.add_argument(
         "--tolerance",
         type=float,
-        default=DEFAULT_TOLERANCE,
-        help="relative wall-time band treated as noise",
+        default=None,
+        help="relative wall-time band treated as noise (default 0.5)",
     )
     pc.add_argument(
         "--window",
         type=int,
-        default=DEFAULT_WINDOW,
-        help="trailing records per bench forming the baseline median",
+        default=None,
+        help="trailing records per bench forming the baseline median "
+        "(default 5)",
     )
     pc.add_argument(
         "--warn-only",

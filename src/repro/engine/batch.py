@@ -227,14 +227,18 @@ def run_plan_sparse(
     and every plan runs through per-plan fused lookup tables
     (:func:`_compile_steps`) — one gather per chip layer.
     """
-    return _run_plan_sparse_flat(plan, valid)[1:]
+    flat_idx, rows, pos = _run_plan_sparse_flat(plan, valid)
+    return rows, flat_idx % valid.shape[1], pos
 
 
 def _run_plan_sparse_flat(
     plan: StagePlan, valid: np.ndarray, stage_kills=None
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """As :func:`run_plan_sparse`, but also returns the flat index of
-    each tracked entry into ``valid.ravel()`` (for scatter reuse).
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """As :func:`run_plan_sparse`, but returns ``(flat_idx, rows, pos)``:
+    the flat index of each tracked entry into ``valid.ravel()`` (for
+    scatter reuse) in place of its column.  Flat indices are int32 when
+    the batch allows, and each layer updates its coordinates in place,
+    so a tracked entry costs about 25 bytes at the walk's peak.
 
     ``stage_kills`` (one entry per chip layer, see
     :func:`run_plan_with_faults`) drops the entries whose message sits
@@ -244,19 +248,20 @@ def _run_plan_sparse_flat(
     """
     batch, n = valid.shape
     flat_idx = np.flatnonzero(valid)
-    rows = (flat_idx // n).astype(np.int32)
-    cols = flat_idx - rows.astype(np.int64) * n
-    row_base: dict[int, np.ndarray] = {}  # rows * slots, per slot count
+    if batch * n < 2**31:
+        flat_idx = flat_idx.astype(np.int32)
+    rows, coord = np.divmod(flat_idx, n)
+    rows = rows.astype(np.int32, copy=False)
+    coord = coord.astype(np.int32, copy=False)  # slot in the current space
 
-    def base_for(slots: int) -> np.ndarray:
-        base = row_base.get(slots)
-        if base is None:
-            if batch * slots < 2**31:
-                base = rows * np.int32(slots)
-            else:  # flat indices exceed int32 — fall back to int64
-                base = rows.astype(np.int64) * slots
-            row_base[slots] = base
-        return base
+    def flat_slots(slots: int) -> np.ndarray:
+        """Flat (trial, slot) index of every tracked entry."""
+        if batch * slots < 2**31:
+            gf = rows * np.int32(slots)
+        else:  # flat indices exceed int32 — fall back to int64
+            gf = rows.astype(np.int64) * slots
+        gf += coord
+        return gf
 
     steps, finish = _compile_steps(plan)
     grp = np.zeros((batch, 0), dtype=bool)
@@ -266,7 +271,6 @@ def _run_plan_sparse_flat(
         "engine.run_plan",
         plan=str(plan.key), batch=batch, valid=int(flat_idx.size),
     ):
-        coord = cols.astype(np.int32)  # slot coordinate in the current space
         for layer, (entry, n_chips, width, rank_dt, mask, flat) in enumerate(
             steps
         ):
@@ -280,27 +284,30 @@ def _run_plan_sparse_flat(
                     grp = np.zeros((batch, slots), dtype=bool)
                 else:
                     grp[:] = False
-                iv = entry[coord]  # this layer's chip-major slot
-                gf = base_for(slots) + iv  # flat (trial, slot) index, reused
+                coord = entry[coord]  # this layer's chip-major slot
+                gf = flat_slots(slots)
                 grp.reshape(-1)[gf] = True
                 cs = np.cumsum(grp.reshape(batch, n_chips, width), axis=2,
                                dtype=rank_dt)
                 rank = cs.reshape(-1)[gf]  # 1-based rank among chip's valid
+                del gf
+                # The chip's first slot, then rank − 1 on from it (coord
+                # is this layer's own gather, so it is updated in place).
                 if mask is not None:
-                    coord = (iv & mask) - np.int32(1) + rank
+                    coord &= mask
                 else:
-                    coord = (iv // width) * np.int32(width) - np.int32(1) + rank
+                    coord //= np.int32(width)
+                    coord *= np.int32(width)
+                coord -= np.int32(1)
+                coord += rank
                 kill = None if stage_kills is None else stage_kills[layer]
                 if kill is not None:
                     keep = ~kill[flat][coord]
-                    flat_idx, rows, cols, coord = (
-                        flat_idx[keep], rows[keep], cols[keep], coord[keep]
-                    )
-                    row_base.clear()
+                    flat_idx, rows, coord = flat_idx[keep], rows[keep], coord[keep]
                 timers.stage.observe(perf_counter() - layer_started)
         pos = coord if finish is None else finish[coord]
     timers.plan.observe(perf_counter() - started)
-    return flat_idx, rows, cols, pos
+    return flat_idx, rows, pos
 
 
 def run_plan(plan: StagePlan, valid: np.ndarray) -> np.ndarray:
@@ -313,7 +320,7 @@ def run_plan(plan: StagePlan, valid: np.ndarray) -> np.ndarray:
     always mask them with ``np.where(valid & ..., final, -1)``).
     """
     batch, n = valid.shape
-    flat_idx, _, _, pos = _run_plan_sparse_flat(plan, valid)
+    flat_idx, _, pos = _run_plan_sparse_flat(plan, valid)
     final = np.zeros((batch, n), dtype=np.int64)
     final.reshape(-1)[flat_idx] = pos
     return final
@@ -327,9 +334,10 @@ def concentrate_plan_batch(
     else −1 (and −1 for every invalid input) — the fused batched form of
     ``np.where(valid & (final < m), final, -1)``.  The same walk's final
     positions become the result's :attr:`BatchRouting.occupancy`."""
-    flat_idx, rows, _, pos = _run_plan_sparse_flat(plan, valid)
+    flat_idx, rows, pos = _run_plan_sparse_flat(plan, valid)
     routing = np.full(valid.shape, -1, dtype=np.int64)
-    routing.reshape(-1)[flat_idx] = np.where(pos < m, pos, -1)
+    routing.reshape(-1)[flat_idx] = pos
+    routing[routing >= m] = -1
     return BatchRouting(
         n_inputs=valid.shape[1],
         n_outputs=m,
@@ -376,7 +384,7 @@ def run_plan_with_faults(
             f"kill mask for chip layer {layer} must be None or an "
             f"({plan.n},) bool array, got {got}"
         )
-    flat_idx, _, _, final = _run_plan_sparse_flat(plan, valid, kills)
+    flat_idx, _, final = _run_plan_sparse_flat(plan, valid, kills)
     pos = np.full(valid.shape, -1, dtype=np.int64)
     pos.reshape(-1)[flat_idx] = final
     return pos
@@ -451,11 +459,11 @@ def nearsortedness_batch(bits: np.ndarray) -> np.ndarray:
     rows = arr.astype(bool)
     n = rows.shape[1]
     k = rows.sum(axis=1).astype(np.int64)
-    idx = np.arange(n, dtype=np.int64)
-    last_one = np.where(rows, idx, -1).max(axis=1, initial=-1)
-    first_zero = np.where(~rows, idx, n).min(axis=1, initial=n)
-    eps_one = np.where(last_one >= 0, last_one - (k - 1), 0)
-    eps_zero = np.where(first_zero < n, k - first_zero, 0)
+    # argmax of a bool row is its first True: no (B, n) index arrays.
+    last_one = n - 1 - rows[:, ::-1].argmax(axis=1)
+    first_zero = (~rows).argmax(axis=1)
+    eps_one = np.where(k > 0, last_one - (k - 1), 0)
+    eps_zero = np.where(k < n, k - first_zero, 0)
     return np.maximum(np.maximum(eps_one, eps_zero), 0)
 
 
@@ -478,22 +486,22 @@ def validate_batch_partial_concentration(spec, batch: BatchRouting) -> None:
     has_path = routing >= 0
     if (has_path & ~batch.valid).any():
         raise ConcentrationError("an invalid message was routed to an output")
-    # Disjointness per row: one bincount over (trial, output) slots.  Each
-    # trial gets m + 1 slots; the first collects its −1s (no path), so the
-    # routing needs no compaction before counting.
-    trials = len(batch)
-    offsets = np.arange(trials, dtype=np.int64) * (m + 1) + 1
-    slots = np.maximum(routing, -1)
-    slots += offsets[:, None]
-    uses = np.bincount(slots.ravel(), minlength=trials * (m + 1))
-    reused = (uses.reshape(trials, m + 1)[:, 1:] > 1).any(axis=1)
+    k = batch.valid.sum(axis=1)
+    routed = has_path.sum(axis=1)  # every path belongs to a valid input
+    del has_path
+    # Disjointness per row: sort each row's targets in a narrow dtype; an
+    # output is reused iff two equal targets (not −1) end up adjacent.
+    ordered = np.empty(routing.shape, np.int16 if m < 2**15 else np.int32)
+    np.maximum(routing, -1, out=ordered, casting="unsafe")
+    ordered.sort(axis=1)
+    reused = ordered[:, 1:] == ordered[:, :-1]
+    reused &= ordered[:, 1:] >= 0
+    reused = reused.any(axis=1)
     if reused.any():
         bad = int(np.argmax(reused))
         raise ConcentrationError(
             f"routing paths are not disjoint in trial {bad} (output reused)"
         )
-    k = batch.valid.sum(axis=1)
-    routed = has_path.sum(axis=1)  # every path belongs to a valid input
     cap = spec.guaranteed_capacity
     light = (k <= cap) & (routed < k)
     if light.any():

@@ -10,17 +10,21 @@ regenerates deterministically from the options, and a report's JSON
 round trip is lossless (reports are built from ``int()``/``str`` data
 precisely so they can cross process and now filesystem boundaries).
 
-File format (``repro.verify/checkpoint@1``): a header line naming the
+File format (``repro.verify/checkpoint@2``): a header line naming the
 schema and the run fingerprint — a SHA-256 over the design, params,
 switch dimensions, and every certify option — followed by one
-``{"index": i, "report": {...}}`` line per completed chunk.  The
+``{"index": i, "crc": c, "report": {...}}`` line per completed chunk,
+``c`` being the CRC-32 of the index and the report's JSON.  The
 fingerprint is checked on resume: a checkpoint taken under different
 options describes different chunks, so reusing it would silently
 corrupt the certificate; that's a :class:`~repro.errors.ConfigurationError`.
-A truncated trailing line (the run died mid-write) is discarded — that
-chunk simply re-runs.  A line that decodes but is not a header or a
-chunk record is a :class:`~repro.errors.ConfigurationError` naming the
-file and the line.
+``@2`` chunks fill to ``options.chunk`` rows across load levels, so the
+same options cut a different chunk sequence than under ``@1``, whose
+journals are refused by the schema check.  A line that is not UTF-8
+JSON or whose CRC does not match (the run died mid-write, or the bytes
+were damaged) is discarded — that chunk simply re-runs.  A line that
+decodes but is not a header or a chunk record is a
+:class:`~repro.errors.ConfigurationError` naming the file and the line.
 """
 
 from __future__ import annotations
@@ -28,11 +32,12 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
+import zlib
 from pathlib import Path
 
 from repro.errors import ConfigurationError
 
-SCHEMA = "repro.verify/checkpoint@1"
+SCHEMA = "repro.verify/checkpoint@2"
 
 
 def certify_fingerprint(design: str, params: dict, n: int, m: int, options) -> str:
@@ -48,6 +53,10 @@ def certify_fingerprint(design: str, params: dict, n: int, m: int, options) -> s
     }
     canon = json.dumps(payload, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(canon.encode("utf-8")).hexdigest()
+
+
+def _crc(index: int, report_json: str) -> int:
+    return zlib.crc32(f"{index}:{report_json}".encode("utf-8"))
 
 
 def _decode_report(report: dict) -> dict:
@@ -81,23 +90,24 @@ class CertifyCheckpoint:
         self.path.parent.mkdir(parents=True, exist_ok=True)
         fresh = not self._header_seen
         self._fh = open(self.path, "a", encoding="utf-8")
+        if self._torn_tail:
+            self._fh.write("\n")
         if fresh:
             self._write_line({"schema": SCHEMA, "fingerprint": fingerprint})
 
     def _load(self) -> None:
         self._header_seen = False
+        self._torn_tail = False
         if not self.path.exists():
             return
-        with open(self.path, encoding="utf-8") as fh:
+        with open(self.path, "rb") as fh:
             for lineno, line in enumerate(fh, 1):
-                line = line.strip()
-                if not line:
-                    continue
+                self._torn_tail = not line.endswith(b"\n")
                 try:
-                    frame = json.loads(line)
-                except json.JSONDecodeError:
-                    # The previous run died mid-write; the partial
-                    # record's chunk re-runs.
+                    frame = json.loads(line.decode("utf-8"))
+                except ValueError:
+                    # Not UTF-8 JSON: the previous run died mid-write,
+                    # or the bytes are damaged.  That chunk re-runs.
                     continue
                 where = f"{self.path}:{lineno}"
                 if not isinstance(frame, dict):
@@ -122,12 +132,15 @@ class CertifyCheckpoint:
                 try:
                     index = int(frame["index"])
                     report = _decode_report(frame["report"])
-                except (KeyError, TypeError, ValueError, AttributeError) as exc:
+                except (KeyError, TypeError, ValueError, AttributeError,
+                        OverflowError) as exc:
                     raise ConfigurationError(
                         f"{where} is not a valid checkpoint record "
                         f"({type(exc).__name__}: {exc})"
                     ) from None
-                self._reports[index] = report
+                report_json = json.dumps(frame["report"], separators=(",", ":"))
+                if frame.get("crc") == _crc(index, report_json):
+                    self._reports[index] = report
 
     def _write_line(self, frame: dict) -> None:
         self._fh.write(json.dumps(frame, separators=(",", ":")) + "\n")
@@ -142,13 +155,11 @@ class CertifyCheckpoint:
     def record(self, index: int, report: dict) -> None:
         if index in self._reports:
             return
-        self._write_line({"index": int(index), "report": report})
-        self._reports[index] = _decode_report(
-            json.loads(json.dumps(report))
+        report_json = json.dumps(report, separators=(",", ":"))
+        self._write_line(
+            {"index": int(index), "crc": _crc(index, report_json), "report": report}
         )
-
-    def completed_indices(self) -> list[int]:
-        return sorted(self._reports)
+        self._reports[index] = _decode_report(json.loads(report_json))
 
     def close(self) -> None:
         if self._fh is not None:

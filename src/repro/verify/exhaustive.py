@@ -26,7 +26,7 @@ import numpy as np
 from repro import obs
 from repro.core.concentration import partial_concentration_failures
 from repro.engine import nearsortedness_batch, validate_batch_partial_concentration
-from repro.errors import ReproError
+from repro.errors import ConfigurationError, ReproError
 from repro.verify.certificate import Certificate, KSlice, Violation
 from repro.verify.differential import (
     gate_parity_failures,
@@ -72,25 +72,37 @@ def _iter_tiers(
     """The pattern source: ``(tier, slices)`` where each slice is
     ``(k, exhaustive, chunks)`` (k None = mixed loads, full tier)."""
     if (1 << n) <= options.max_total:
-        def full() -> Iterator[tuple[int | None, bool, Iterator[np.ndarray]]]:
-            yield None, True, all_patterns(n, chunk=options.chunk)
+        return "exhaustive", iter([(None, True, all_patterns(n, chunk=options.chunk))])
+    return "stratified", (
+        (k, *patterns_with_k(n, k, limit=options.max_per_k, chunk=options.chunk))
+        for k in range(n + 1)
+    )
 
-        return "exhaustive", full()
 
-    def stratified() -> Iterator[tuple[int | None, bool, Iterator[np.ndarray]]]:
-        for k in range(n + 1):
-            exhaustive, chunks = patterns_with_k(
-                n, k, limit=options.max_per_k, chunk=options.chunk
-            )
-            yield k, exhaustive, chunks
-
-    return "stratified", stratified()
+def _rechunk(parts: Iterator[np.ndarray], size: int) -> Iterator[np.ndarray]:
+    """Regroup a stream of row blocks into ``size``-row chunks, in
+    order, across block boundaries (only the last chunk may be short)."""
+    held: list[np.ndarray] = []
+    for part in parts:
+        held.append(part)
+        while sum(block.shape[0] for block in held) >= size:
+            rows = np.concatenate(held)
+            yield rows[:size]
+            held = [rows[size:]]
+    if sum(block.shape[0] for block in held):
+        yield np.concatenate(held)
 
 
 def _planned_total(n: int, options: CertifyOptions) -> int:
     if (1 << n) <= options.max_total:
         return 1 << n
     return sum(min(pattern_count(n, k), options.max_per_k) for k in range(n + 1))
+
+
+def _picked(offset: int, size: int, stride: int) -> np.ndarray:
+    """Chunk rows whose global pattern offset is a multiple of stride."""
+    rows = np.arange(size)
+    return rows[(offset + rows) % stride == 0]
 
 
 def _chunk_rng(seed: int, index: int) -> np.random.Generator:
@@ -137,9 +149,18 @@ def _examine_chunk(switch, chunk: np.ndarray, config: dict) -> dict:
     try:
         batch = switch.setup_batch(chunk)
     except ReproError as exc:
+        # Name a pattern that raises on its own, so the record replays;
+        # a chunk spans many loads, and its first row may route fine.
+        bad = 0
+        for i in range(batch_size):
+            try:
+                switch.setup_batch(chunk[i : i + 1])
+            except ReproError as row_exc:
+                bad, exc = i, row_exc
+                break
         sections.append(
             ("contract", True,
-             [event(ks[0], chunk[0], f"setup_batch raised {exc!r}")])
+             [event(ks[bad], chunk[bad], f"setup_batch raised {exc!r}")])
         )
         return report
     checks["contract"] += batch_size
@@ -171,8 +192,7 @@ def _examine_chunk(switch, chunk: np.ndarray, config: dict) -> dict:
     # -- differential: scalar oracle -----------------------------------
     scalar_stride = config["scalar_stride"]
     if scalar_stride:
-        offsets = np.arange(batch_size)
-        picked = offsets[(offset + offsets) % scalar_stride == 0]
+        picked = _picked(offset, batch_size, scalar_stride)
         checks["scalar_parity"] += picked.size
         sections.append(
             ("scalar-parity", True,
@@ -195,16 +215,18 @@ def _examine_chunk(switch, chunk: np.ndarray, config: dict) -> dict:
     meta_stride = config["meta_stride"]
     if meta_stride:
         rng = _chunk_rng(config["seed"], config["index"])
-        offsets = np.arange(batch_size)
-        picked = offsets[(offset + offsets) % meta_stride == 0]
+        picked = _picked(offset, batch_size, meta_stride)
         checks["metamorphic"] += picked.size
-        meta_events: list[tuple[int, str, str]] = []
-        for i in picked:
-            for msg in metamorphic_failures(switch, chunk[i], rng):
-                meta_events.append(event(ks[i], chunk[i], msg))
+        found = metamorphic_failures(
+            switch, chunk[picked], rng, batch.routed_counts[picked]
+        )
         # The cap never stops the metamorphic scan (matching the
         # historical recording semantics), hence break_on_cap=False.
-        sections.append(("metamorphic", False, meta_events))
+        sections.append(
+            ("metamorphic", False,
+             [event(ks[i], chunk[i], msg)
+              for i, messages in zip(picked, found) for msg in messages])
+        )
     return report
 
 
@@ -242,6 +264,8 @@ def certify_switch(
     have put them — identical certificate, only unfinished work redone.
     """
     options = options or CertifyOptions()
+    if options.chunk < 1:
+        raise ConfigurationError(f"chunk must be at least 1, got {options.chunk}")
     spec = switch.spec
     has_nearsort = hasattr(switch, "final_positions") and hasattr(
         switch, "epsilon_bound"
@@ -288,25 +312,20 @@ def certify_switch(
         "seed": options.seed,
     }
 
-    def tasks() -> Iterator[tuple[dict, np.ndarray]]:
-        """(config, chunk) pairs in enumeration order, tracking the
-        pattern offset each chunk starts at."""
-        offset = 0
-        index = 0
+    def rows() -> Iterator[np.ndarray]:
         for k_slice, exhaustive, chunks in slices:
             if k_slice is not None:
                 k_exhaustive[k_slice] = exhaustive
-            for chunk in chunks:
-                config = dict(
-                    base_config,
-                    index=index,
-                    offset=offset,
-                    k_slice=k_slice,
-                    exhaustive=exhaustive,
-                )
-                yield config, chunk
-                offset += chunk.shape[0]
-                index += 1
+            yield from chunks
+
+    def tasks() -> Iterator[tuple[dict, np.ndarray]]:
+        """(config, chunk) pairs in enumeration order: each chunk holds
+        up to ``options.chunk`` rows, filled across k slices, and knows
+        the pattern offset it starts at."""
+        offset = 0
+        for index, chunk in enumerate(_rechunk(rows(), options.chunk)):
+            yield dict(base_config, index=index, offset=offset), chunk
+            offset += chunk.shape[0]
 
     def record(check: str, k: int, hexpat: str, message: str) -> bool:
         """Add one violation; returns False once the cap is hit."""
@@ -319,13 +338,11 @@ def certify_switch(
         )
         return True
 
-    def fold(config: dict, report: dict) -> None:
+    def fold(report: dict) -> None:
         nonlocal seen
         batch_size = report["batch_size"]
         for k, count in report["k_counts"].items():
             k_counts[k] = k_counts.get(k, 0) + count
-            if config["k_slice"] is None:
-                k_exhaustive[k] = config["exhaustive"]
         obs.counter("verify.patterns", design=design).inc(batch_size)
         for name, delta in report["checks"].items():
             checks[name] += delta
@@ -360,12 +377,12 @@ def certify_switch(
                     if cert.violations_truncated:
                         break
                     if ckpt is not None and ckpt.has(config["index"]):
-                        fold(config, ckpt.report(config["index"]))
+                        fold(ckpt.report(config["index"]))
                         continue
                     report = _examine_chunk(switch, chunk, config)
                     if ckpt is not None:
                         ckpt.record(config["index"], report)
-                    fold(config, report)
+                    fold(report)
     finally:
         if ckpt is not None:
             ckpt.close()
@@ -373,7 +390,10 @@ def certify_switch(
     cert.checks = checks
     cert.total_patterns = seen
     cert.per_k = [
-        KSlice(k=k, count=k_counts[k], exhaustive=k_exhaustive.get(k, False))
+        # Every k of the full tier is exhaustive; stratified slices
+        # record their own flag as they start.
+        KSlice(k=k, count=k_counts[k],
+               exhaustive=k_exhaustive.get(k, tier == "exhaustive"))
         for k in sorted(k_counts)
     ]
     return cert
@@ -425,7 +445,7 @@ def _certify_parallel(
         if cert.violations_truncated:
             break
         index = config["index"]
-        fold(config, next(fresh) if index in dispatched else checkpoint.report(index))
+        fold(next(fresh) if index in dispatched else checkpoint.report(index))
 
 
 def _checkpoint_path(checkpoint_dir, name: str, switch) -> str | None:

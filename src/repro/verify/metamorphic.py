@@ -14,6 +14,9 @@ they need no oracle and hold for every (n, m, α) design:
   whatever the message payloads are: routing is a function of the
   valid bits alone, and permuting or replacing the *invalid* entries
   (all ``None``) changes nothing.
+
+The first two relations run as batch rows: every permuted and grown
+variant of a block of patterns goes through one ``setup_batch``.
 """
 
 from __future__ import annotations
@@ -21,70 +24,73 @@ from __future__ import annotations
 import numpy as np
 
 
-def permuted_load_failure(switch, valid: np.ndarray, rng: np.random.Generator) -> str | None:
-    """Check the load-permutation relation for one pattern; returns a
-    message on failure, None when it holds."""
-    valid = np.asarray(valid, dtype=bool)
-    k = int(valid.sum())
-    cap = switch.spec.guaranteed_capacity
-    base = switch.setup(valid).routed_count
-    shuffled = valid[rng.permutation(valid.size)]
-    permuted = switch.setup(shuffled).routed_count
-    if k <= cap and permuted != base:
-        return (
-            f"routed count changed under permutation at k={k} <= cap={cap}: "
-            f"{base} -> {permuted}"
-        )
-    if k > cap and (base < cap or permuted < cap):
-        return (
-            f"congested routed count fell below cap={cap} "
-            f"(original {base}, permuted {permuted})"
-        )
-    return None
-
-
-def monotone_growth_failure(switch, valid: np.ndarray) -> str | None:
-    """Adding one valid bit (at the first idle input) must not decrease
-    the routed count."""
-    valid = np.asarray(valid, dtype=bool)
-    idle = np.flatnonzero(~valid)
-    if idle.size == 0:
-        return None
-    before = switch.setup(valid).routed_count
-    grown = valid.copy()
-    grown[idle[0]] = True
-    after = switch.setup(grown).routed_count
-    if after < before:
-        return (
-            f"routed count decreased when input {int(idle[0])} became valid: "
-            f"{before} -> {after}"
-        )
-    return None
-
-
-def payload_independence_failure(switch, valid: np.ndarray) -> str | None:
-    """``route()`` must fill the same output slots for any payloads."""
-    valid = np.asarray(valid, dtype=bool)
-    msgs_a: list[object | None] = [f"a{i}" if v else None for i, v in enumerate(valid)]
-    msgs_b: list[object | None] = [i if v else None for i, v in enumerate(valid)]
-    slots_a = [s is not None for s in switch.route(msgs_a)]
-    slots_b = [s is not None for s in switch.route(msgs_b)]
-    if slots_a != slots_b:
-        return "route() filled different output slots for different payloads"
-    return None
-
-
 def metamorphic_failures(
-    switch, valid: np.ndarray, rng: np.random.Generator
-) -> list[str]:
-    """Run every metamorphic relation on one pattern."""
-    failures = []
-    for check in (
-        lambda: permuted_load_failure(switch, valid, rng),
-        lambda: monotone_growth_failure(switch, valid),
-        lambda: payload_independence_failure(switch, valid),
+    switch,
+    valid: np.ndarray,
+    rng: np.random.Generator,
+    routed: np.ndarray | None = None,
+) -> list:
+    """Run every metamorphic relation on one pattern, returning its
+    failure messages, or on each row of a ``(B, n)`` batch, returning
+    one message list per row.
+
+    ``routed`` holds the rows' routed counts when the caller has set
+    them up already (the certifier passes its chunk's batch); otherwise
+    one ``setup_batch`` computes them.  ``rng`` draws one
+    ``permutation(n)`` per row, in row order.
+    """
+    valid = np.asarray(valid, dtype=bool)
+    if valid.ndim == 1:
+        return metamorphic_failures(switch, valid[None, :], rng, routed)[0]
+    rows, n = valid.shape
+    failures: list[list[str]] = [[] for _ in range(rows)]
+    if not rows:
+        return failures
+    if routed is None:
+        routed = switch.setup_batch(valid).routed_counts
+    shuffled = np.stack([row[rng.permutation(n)] for row in valid])
+    growable = np.flatnonzero(~valid.all(axis=1))
+    grown = valid[growable]
+    first_idle = (~grown).argmax(axis=1)
+    grown[np.arange(growable.size), first_idle] = True
+    counts = switch.setup_batch(np.concatenate([shuffled, grown])).routed_counts
+    cap = switch.spec.guaranteed_capacity
+
+    # -- load permutation ----------------------------------------------
+    for i, (k, base, permuted) in enumerate(
+        zip(valid.sum(axis=1).tolist(), np.asarray(routed).tolist(),
+            counts[:rows].tolist())
     ):
-        message = check()
-        if message is not None:
-            failures.append(message)
+        if k <= cap and permuted != base:
+            failures[i].append(
+                f"routed count changed under permutation at k={k} <= cap={cap}: "
+                f"{base} -> {permuted}"
+            )
+        if k > cap and (base < cap or permuted < cap):
+            failures[i].append(
+                f"congested routed count fell below cap={cap} "
+                f"(original {base}, permuted {permuted})"
+            )
+
+    # -- monotone growth: one more valid bit, at the first idle input --
+    for i, idle, after in zip(
+        growable.tolist(), first_idle.tolist(), counts[rows:].tolist()
+    ):
+        before = int(routed[i])
+        if after < before:
+            failures[i].append(
+                f"routed count decreased when input {idle} became valid: "
+                f"{before} -> {after}"
+            )
+
+    # -- payload independence ------------------------------------------
+    for i, row in enumerate(valid.tolist()):
+        slots_a = [s is not None for s in switch.route(
+            [f"a{j}" if v else None for j, v in enumerate(row)])]
+        slots_b = [s is not None for s in switch.route(
+            [j if v else None for j, v in enumerate(row)])]
+        if slots_a != slots_b:
+            failures[i].append(
+                "route() filled different output slots for different payloads"
+            )
     return failures

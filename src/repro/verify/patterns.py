@@ -67,7 +67,9 @@ def _corner_patterns(n: int, k: int) -> np.ndarray:
     corners[1, n - k :] = True
     if k:
         corners[2, np.linspace(0, n - 1, num=k).round().astype(np.int64)] = True
-    return np.unique(corners, axis=0)
+    # Distinct rows in ``np.unique(axis=0)`` order: sorted by row bytes.
+    distinct = {row.tobytes(): row for row in corners}
+    return np.stack([distinct[key] for key in sorted(distinct)])
 
 
 def patterns_with_k(

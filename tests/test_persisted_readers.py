@@ -4,9 +4,12 @@ file — and, for JSONL, the line — never a decoder traceback."""
 
 from __future__ import annotations
 
+import functools
 import json
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from repro.errors import ConfigurationError, exit_code_for
 from repro.obs.live.flight import CRASH_SCHEMA, read_crash_report
@@ -112,3 +115,107 @@ def test_certify_on_a_corrupt_checkpoint_exits_2(tmp_path, capsys):
     capsys.readouterr()
     assert main(argv) == 2
     assert str(path) in capsys.readouterr().err
+
+
+def _certify_argv(checkpoint_dir) -> list[str]:
+    return [
+        "certify", "revsort", "--n", "16", "--m", "12", "--max-total", "1024",
+        "--format", "json", "--checkpoint", str(checkpoint_dir),
+    ]
+
+
+def test_certify_on_an_older_checkpoint_schema_exits_2(tmp_path, capsys):
+    """``@2`` chunks fill across load levels, so an ``@1`` journal's
+    chunk indices name other chunks: it is refused, not folded."""
+    from repro.cli import main
+    from repro.verify.checkpoint import SCHEMA
+
+    argv = _certify_argv(tmp_path)
+    assert main(argv) == 0
+    (path,) = tmp_path.glob("*.jsonl")
+    header, *records = path.read_text(encoding="utf-8").splitlines()
+    old = dict(json.loads(header), schema="repro.verify/checkpoint@1")
+    path.write_text("\n".join([json.dumps(old), *records]) + "\n", encoding="utf-8")
+    capsys.readouterr()
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert "repro.verify/checkpoint@1" in err
+    assert SCHEMA in err
+
+
+def test_non_utf8_checkpoint_bytes_are_a_torn_line(tmp_path, capsys):
+    from repro.cli import main
+
+    argv = _certify_argv(tmp_path)
+    assert main(argv) == 0
+    clean = capsys.readouterr().out
+    (path,) = tmp_path.glob("*.jsonl")
+    with open(path, "ab") as fh:
+        fh.write(b"\xff\xfe\n")
+    assert main(argv) == 0
+    assert capsys.readouterr().out == clean
+
+
+@functools.lru_cache(maxsize=None)
+def _clean_checkpoint():
+    """Options, a valid 8-chunk journal, and the certificate of its run."""
+    import tempfile
+    from pathlib import Path
+
+    from repro.switches.hyperconcentrator import Hyperconcentrator
+    from repro.verify import CertifyOptions, certify_switch
+
+    options = CertifyOptions(
+        max_total=256, chunk=32, scalar_rows=8, metamorphic_rows=4
+    )
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "ck.jsonl"
+        cert = certify_switch(
+            Hyperconcentrator(8), design="hyper", options=options,
+            checkpoint=str(path),
+        )
+        return options, path.read_bytes(), cert.to_json()
+
+
+@st.composite
+def _damaged_journal(draw) -> bytes:
+    """A valid journal truncated, overwritten or spliced with junk, or
+    with one digit changed (the line still parses, its values lie)."""
+    _, data, _ = _clean_checkpoint()
+    at = draw(st.integers(0, len(data)))
+    kind = draw(st.sampled_from(["truncate", "overwrite", "insert", "digit"]))
+    if kind == "truncate":
+        return data[:at]
+    if kind == "digit":
+        at = draw(st.sampled_from([i for i, b in enumerate(data) if chr(b).isdigit()]))
+        digit = draw(st.sampled_from([d for d in b"0123456789" if d != data[at]]))
+        return data[:at] + bytes([digit]) + data[at + 1:]
+    junk = draw(st.binary(min_size=1, max_size=16))
+    if kind == "overwrite":
+        return data[:at] + junk + data[at + len(junk):]
+    return data[:at] + junk + data[at:]
+
+
+@given(_damaged_journal())
+def test_damaged_checkpoint_resumes_identically_or_is_refused(damaged):
+    """Any truncation or byte garbage of a valid journal resumes to the
+    clean certificate (damaged records re-run) or is refused with a
+    ConfigurationError; it never raises anything else."""
+    import tempfile
+    from pathlib import Path
+
+    from repro.switches.hyperconcentrator import Hyperconcentrator
+    from repro.verify import certify_switch
+
+    options, _, clean = _clean_checkpoint()
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "ck.jsonl"
+        path.write_bytes(damaged)
+        try:
+            cert = certify_switch(
+                Hyperconcentrator(8), design="hyper", options=options,
+                checkpoint=str(path),
+            )
+        except ConfigurationError:
+            return
+    assert cert.to_json() == clean
