@@ -1,5 +1,5 @@
 """CLI exit codes and machine-readable stdout for the verification
-commands: ``verify --backend batch``, ``compare``, and the new ``certify``.
+commands: ``verify``, ``compare``, and ``certify``.
 
 The ``--format json`` outputs are pinned as golden snapshots under
 ``tests/golden/`` — any schema or behaviour drift trips these tests.
@@ -25,21 +25,22 @@ def _golden(name: str) -> dict | list:
 
 
 class TestVerifyBatchJson:
+    """``repro verify`` runs one path, the sharded engine backend's
+    batched trial stream (inline at the default ``--workers 1``)."""
+
     ARGS = [
         "verify", "columnsort", "--r", "8", "--s", "2", "--m", "12",
-        "--backend", "batch", "--trials", "40", "--seed", "3",
-        "--format", "json",
+        "--trials", "40", "--seed", "3", "--format", "json",
     ]
 
     def test_matches_golden_snapshot(self, capsys):
         assert main(self.ARGS) == 0
         assert json.loads(capsys.readouterr().out) == _golden(
-            "verify_batch_columnsort.json"
+            "verify_process_columnsort_r8s2.json"
         )
 
     def test_batch_mode_reports_epsilon(self, capsys):
-        """The batch path used to print '-' for worst ε; it now
-        measures through final_positions_batch."""
+        """The batched path measures worst ε (it once printed '-')."""
         assert main(self.ARGS) == 0
         doc = json.loads(capsys.readouterr().out)
         assert doc["worst_epsilon"] is not None
