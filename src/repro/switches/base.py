@@ -29,13 +29,14 @@ from repro.engine.batch import BatchRouting
 from repro.errors import ConfigurationError, RoutingError
 
 
-def _as_bool_bits(arr: np.ndarray) -> np.ndarray:
+def _as_bool_bits(arr: np.ndarray, *, copy: bool = True) -> np.ndarray:
     """Coerce a valid-bit array to bool, rejecting anything that is not
     a 0/1 value (mirrors :func:`repro.core.nearsort._as_bits`; a silent
-    ``astype(bool)`` would truncate arbitrary ints to True)."""
+    ``astype(bool)`` would truncate arbitrary ints to True).  With
+    ``copy=False`` a bool input is returned as is."""
     if arr.dtype != np.bool_ and arr.size and not ((arr == 0) | (arr == 1)).all():
         raise ConfigurationError("valid bits must contain only 0/1 values")
-    return arr.astype(bool)
+    return arr.astype(bool, copy=copy)
 
 
 @dataclass(frozen=True)
@@ -118,7 +119,9 @@ class ConcentratorSwitch(ABC):
                 f"expected a (B, {self.n}) batch of valid bits, "
                 f"got shape {np.asarray(valid).shape}"
             )
-        return _as_bool_bits(arr)
+        # No copy: no _setup_batch writes to its valid bits, and a
+        # certify chunk of 4,096x64 bools would cost 256 KB per call.
+        return _as_bool_bits(arr, copy=False)
 
     def setup_batch(self, valid: np.ndarray) -> BatchRouting:
         """Establish paths for ``B`` independent setup cycles at once.

@@ -26,11 +26,13 @@ from repro.engine import (
     run_plan_with_faults,
 )
 from repro.errors import ConfigurationError
+from repro.faults import DeadChipFault, FaultScenario, FaultySwitch
 from repro.faults.scenario import chip_layers
 from repro.gates.evaluate import evaluate, pack_bits, unpack_bits
 from repro.gates.hyperconc_gates import build_hyperconcentrator
 from repro.network.simulate import compare_partial_vs_perfect
 from repro.switches.base import ConcentratorSwitch
+from repro.switches.bitonic import TruncatedBitonicSwitch
 from repro.switches.cascade import CascadeSwitch
 from repro.switches.columnsort_switch import ColumnsortSwitch
 from repro.switches.hyperconcentrator import Hyperconcentrator
@@ -110,6 +112,41 @@ class TestBatchScalarParity:
 
 
 class TestValidBitChecking:
+    def test_setup_batch_keeps_bool_bits_uncopied(self, rng):
+        switch = RevsortSwitch(64, 48)
+        valid = _trial_batch(rng, switch.n)
+        assert np.shares_memory(switch.setup_batch(valid).valid, valid)
+        # The scalar oracle keeps its own copy.
+        assert not np.shares_memory(switch.setup(valid[2]).valid, valid)
+        bad = valid.astype(np.int64)
+        bad[2, 5] = 3
+        with pytest.raises(ConfigurationError):
+            switch.setup_batch(bad)
+
+    @pytest.mark.parametrize(
+        "name,switch",
+        _registry_instances()
+        + [
+            ("hyperconcentrator", Hyperconcentrator(64)),
+            ("truncated-bitonic", TruncatedBitonicSwitch(64, 48, stages=12, epsilon=16)),
+            (
+                "faulty",
+                FaultySwitch(
+                    RevsortSwitch(64, 48),
+                    FaultScenario(name="dead-chip", faults=(DeadChipFault(0, 1),)),
+                ),
+            ),
+        ],
+        ids=lambda v: v if isinstance(v, str) else "",
+    )
+    def test_setup_batch_never_writes_its_valid_bits(self, name, switch, rng):
+        """setup_batch hands the caller's bool array on uncopied, so no
+        _setup_batch may write to it: a read-only batch must route."""
+        valid = _trial_batch(rng, switch.n)
+        expected = switch.setup_batch(valid.copy()).input_to_output
+        valid.flags.writeable = False
+        assert np.array_equal(switch.setup_batch(valid).input_to_output, expected)
+
     def test_setup_rejects_non_binary_values(self):
         switch = PerfectConcentrator(8, 6)
         with pytest.raises(ConfigurationError):
