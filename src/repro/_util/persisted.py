@@ -6,10 +6,14 @@ JSONL, the line — instead of a decoder traceback."""
 from __future__ import annotations
 
 import json
+from collections.abc import Mapping
 from pathlib import Path
 from typing import Callable
 
 from repro.errors import ConfigurationError
+
+#: The JSON number types, for :func:`read_jsonl`'s ``fields``.
+NUMBER = (int, float)
 
 
 def load_document(
@@ -35,10 +39,15 @@ def load_document(
 
 
 def read_jsonl(
-    path: str | Path, *, what: str, schema: str | None = None
+    path: str | Path,
+    *,
+    what: str,
+    schema: str | None = None,
+    fields: Callable[[dict], Mapping[str, type | tuple]] | None = None,
 ) -> list[dict]:
     """Every non-blank line of a JSONL file, each of which must be a
-    JSON object (carrying ``"schema": schema`` when one is given)."""
+    JSON object (carrying ``"schema": schema`` when one is given, and
+    every key ``fields(record)`` names, holding a value of its type)."""
     source = Path(path)
     if not source.exists():
         raise ConfigurationError(f"no {what} at {source}")
@@ -66,5 +75,11 @@ def read_jsonl(
                 f"{source}:{lineno} is not a {schema} record "
                 f"(schema={record.get('schema')!r})"
             )
+        for key, kinds in (fields(record) if fields else {}).items():
+            if not isinstance(record.get(key), kinds):
+                raise ConfigurationError(
+                    f"{source}:{lineno} is not a {what} record "
+                    f"(missing or mistyped {key!r})"
+                )
         records.append(record)
     return records

@@ -59,7 +59,7 @@ import time
 from pathlib import Path
 from typing import Callable, Iterable
 
-from repro._util.persisted import read_jsonl
+from repro._util.persisted import NUMBER, read_jsonl
 from repro.errors import ConfigurationError
 from repro.obs.registry import Registry
 from repro.obs.tracing import SpanRecord
@@ -239,19 +239,34 @@ class JournalSink:
 
 
 # -- reading and replaying ----------------------------------------------
+#: Per frame type, the fields replay and analysis index without a default.
+_FRAME_FIELDS = {
+    "counter": {"key": str, "delta": NUMBER},
+    "gauge": {"key": str, "value": NUMBER},
+    "hist": {"key": str, "count": NUMBER, "sum": NUMBER},
+    "series": {"key": str},
+    "span": {"name": str, "duration_s": NUMBER},
+    "phase": {"t": NUMBER},
+}
+
+
 def read_journal(source: str | Path | Iterable[dict]) -> list[dict]:
     """Load journal events from a path (JSONL) or pass an event list
     through, validating the ``start`` line's schema tag."""
     if isinstance(source, (str, Path)):
-        events = read_jsonl(source, what="journal")
+        events = read_jsonl(
+            source, what="journal", fields=lambda e: _FRAME_FIELDS.get(e.get("type"), {})
+        )
+        name = str(source)
     else:
         events = list(source)
+        name = "event list"
     if not events:
-        raise ConfigurationError("journal is empty")
+        raise ConfigurationError(f"{name} is an empty journal")
     head = events[0]
     if head.get("type") != "start" or head.get("schema") != JOURNAL_SCHEMA:
         raise ConfigurationError(
-            f"not a {JOURNAL_SCHEMA} journal "
+            f"{name} is not a {JOURNAL_SCHEMA} journal "
             f"(first event: {head.get('type')!r}/{head.get('schema')!r})"
         )
     return events

@@ -31,7 +31,7 @@ from __future__ import annotations
 import json
 from pathlib import Path
 
-from repro._util.persisted import read_jsonl
+from repro._util.persisted import NUMBER, read_jsonl
 from repro.errors import ConfigurationError
 
 TRAJECTORY_SCHEMA = "repro.obs/bench"
@@ -60,11 +60,17 @@ def append_records(path: str | Path, records: list[dict]) -> Path:
     return target
 
 
+#: What every reader of a record indexes without a default.
+_RECORD_FIELDS = {"bench": str, "median_wall_s": NUMBER}
+
+
 def read_trajectory(path: str | Path) -> list[dict]:
     """Read every record of a trajectory file, in file (= append)
     order.  Blank lines are skipped; a line that is not a
     ``repro.obs/bench`` record raises."""
-    return read_jsonl(path, what="trajectory", schema=TRAJECTORY_SCHEMA)
+    return read_jsonl(
+        path, what="trajectory", schema=TRAJECTORY_SCHEMA, fields=lambda _: _RECORD_FIELDS
+    )
 
 
 def latest_per_bench(records: list[dict]) -> dict[str, dict]:

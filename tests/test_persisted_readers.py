@@ -6,9 +6,10 @@ from __future__ import annotations
 
 import functools
 import json
+from pathlib import Path
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.errors import ConfigurationError, exit_code_for
@@ -18,7 +19,7 @@ from repro.obs.perf.trajectory import TRAJECTORY_SCHEMA, read_trajectory
 from repro.obs.slo import SLO_SCHEMA, load_slo_spec
 
 _JOURNAL_HEAD = json.dumps({"type": "start", "schema": JOURNAL_SCHEMA, "seq": 0})
-_TRAJECTORY_HEAD = json.dumps({"schema": TRAJECTORY_SCHEMA, "bench": "b"})
+_TRAJECTORY_HEAD = json.dumps({"schema": TRAJECTORY_SCHEMA, "bench": "b", "median_wall_s": 0.5})
 
 #: reader, file name, {case: (content, message fragment)}; the JSONL
 #: cases break line 2 after a valid first line.
@@ -27,11 +28,18 @@ READERS = [
         "garbage": (f"{_JOURNAL_HEAD}\nnot json\n", ":2 is not valid JSON"),
         "truncated": (f'{_JOURNAL_HEAD}\n{{"type": "counter", "ke', ":2 is not valid JSON"),
         "non-object": (f"{_JOURNAL_HEAD}\n[1, 2]\n", ":2 is not a journal record"),
+        "missing-field": (
+            f'{_JOURNAL_HEAD}\n{{"type": "counter", "key": "k"}}\n', "mistyped 'delta'"
+        ),
     }),
     (read_trajectory, "t.jsonl", {
         "garbage": (f"{_TRAJECTORY_HEAD}\n}}{{\n", ":2 is not valid JSON"),
         "truncated": (f'{_TRAJECTORY_HEAD}\n{{"schema": "repro.o', ":2 is not valid JSON"),
         "non-object": (f"{_TRAJECTORY_HEAD}\n42\n", ":2 is not a trajectory record"),
+        "missing-field": (
+            f'{_TRAJECTORY_HEAD}\n{{"schema": "{TRAJECTORY_SCHEMA}", "bench": "b"}}\n',
+            ":2 is not a trajectory record (missing or mistyped 'median_wall_s')",
+        ),
     }),
     (read_crash_report, "crash.json", {
         "garbage": ("\x00garbage", "is not a valid crash report"),
@@ -178,10 +186,11 @@ def _clean_checkpoint():
 
 
 @st.composite
-def _damaged_journal(draw) -> bytes:
-    """A valid journal truncated, overwritten or spliced with junk, or
-    with one digit changed (the line still parses, its values lie)."""
-    _, data, _ = _clean_checkpoint()
+def _damaged(draw, source) -> bytes:
+    """The bytes ``source()`` returns truncated, overwritten or spliced
+    with junk, or with one digit changed (the line still parses, its
+    values lie)."""
+    data = source()
     at = draw(st.integers(0, len(data)))
     kind = draw(st.sampled_from(["truncate", "overwrite", "insert", "digit"]))
     if kind == "truncate":
@@ -196,7 +205,7 @@ def _damaged_journal(draw) -> bytes:
     return data[:at] + junk + data[at:]
 
 
-@given(_damaged_journal())
+@given(_damaged(lambda: _clean_checkpoint()[1]))
 def test_damaged_checkpoint_resumes_identically_or_is_refused(damaged):
     """Any truncation or byte garbage of a valid journal resumes to the
     clean certificate (damaged records re-run) or is refused with a
@@ -219,3 +228,124 @@ def test_damaged_checkpoint_resumes_identically_or_is_refused(damaged):
         except ConfigurationError:
             return
     assert cert.to_json() == clean
+
+
+_GOLDEN = Path(__file__).parent / "golden"
+_CLEAN_JOURNAL = _GOLDEN / "journal_deterministic.jsonl"
+
+
+def _clean_trajectory() -> bytes:
+    from repro.obs.perf import trajectory
+
+    def record(median: float) -> dict:
+        return trajectory.new_record(
+            bench="b", suite="smoke", unit="trials", repeats=1,
+            wall_s=[median], median_wall_s=median, best_wall_s=median, work=64,
+            throughput=64 / median, rss_peak_kb=1000, alloc_peak_kb=10,
+            alloc_blocks=5, plan_cache={"hits": 3, "misses": 0, "hit_rate": 1.0},
+            span_seconds={}, meta={},
+            env={"git_sha": "a" * 40, "git_dirty": False, "python": "3.11",
+                 "numpy": "2", "platform": "test"},
+            seed=7, started_at="2026-01-01T00:00:00+0000",
+        )
+
+    return "".join(json.dumps(record(m)) + "\n" for m in (0.01, 0.012, 0.011)).encode()
+
+
+def _clean_slo_spec() -> bytes:
+    rules = [
+        {"name": "rounds ran", "metric": "counter:sim.rounds", "op": ">=", "threshold": 1.0},
+        {"name": "no retries", "metric": "counter:engine.shard_retries", "op": "<=",
+         "threshold": 0.0, "default": 0.0},
+    ]
+    return json.dumps({"schema": SLO_SCHEMA, "rules": rules}, indent=2).encode()
+
+
+#: case -> (clean file bytes, file name, ``repro`` arguments for a path).
+CLI_READERS = {
+    "journal-analyze": (
+        _CLEAN_JOURNAL.read_bytes, "j.jsonl",
+        lambda path: ["obs", "analyze", path, "--format", "json"],
+    ),
+    "journal-export": (
+        _CLEAN_JOURNAL.read_bytes, "j.jsonl",
+        lambda path: ["obs", "export", "--journal", path, "--format", "json"],
+    ),
+    "trajectory-compare": (
+        _clean_trajectory, "t.jsonl",
+        lambda path: ["bench", "compare", "--baseline", path, "--format", "json"],
+    ),
+    "trajectory-report": (
+        _clean_trajectory, "t.jsonl",
+        lambda path: ["obs", "report", "--trajectory", path],
+    ),
+    "slo-spec": (
+        _clean_slo_spec, "spec.json",
+        lambda path: ["obs", "slo", "--spec", path, "--journal", str(_CLEAN_JOURNAL)],
+    ),
+}
+
+
+def _run(argv: list[str]) -> tuple[int, str, str]:
+    import contextlib
+    import io
+
+    from repro.cli import main
+
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+@pytest.mark.parametrize("case", sorted(CLI_READERS))
+def test_clean_persisted_files_read_through_the_cli(tmp_path, case):
+    source, name, argv = CLI_READERS[case]
+    path = tmp_path / name
+    path.write_bytes(source())
+    code, out, err = _run(argv(str(path)))
+    assert (code, err) == (0, ""), err
+    assert out
+
+
+@pytest.mark.parametrize("case", sorted(CLI_READERS))
+@settings(max_examples=25)
+@given(data=st.data())
+def test_damaged_persisted_files_never_raise_through_the_cli(case, data):
+    """Whatever the damage, the command either runs to a verdict (exit
+    0 or 1: a changed digit or a cut at a line end leaves a valid file,
+    and these formats carry no checksum) or exits 2 naming the damaged
+    file; it never raises."""
+    import tempfile
+
+    source, name, argv = CLI_READERS[case]
+    damaged = data.draw(_damaged(source))
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / name
+        path.write_bytes(damaged)
+        code, _, err = _run(argv(str(path)))
+    assert code in (0, 1, 2), err
+    if code == 2:
+        assert str(path) in err
+
+
+@settings(max_examples=25)
+@given(data=st.data())
+def test_damaged_crash_report_is_read_or_refused(tmp_path_factory, data):
+    """Crash reports have no reading command: the reader itself either
+    returns the report or raises a ConfigurationError naming the file."""
+    from repro.obs.live.flight import FlightRecorder
+
+    directory = tmp_path_factory.mktemp("crash")
+    clean = FlightRecorder().write(
+        directory / "clean.json", reason="unhandled-exception", command="golden"
+    ).read_bytes()
+    path = directory / "crash.json"
+    path.write_bytes(data.draw(_damaged(lambda: clean)))
+    try:
+        report = read_crash_report(path)
+    except ConfigurationError as exc:
+        assert str(path) in str(exc)
+        assert exit_code_for(exc) == 2
+    else:
+        assert report["schema"] == CRASH_SCHEMA
