@@ -262,3 +262,29 @@ class TestTable1Formats:
         lines = capsys.readouterr().out.strip().splitlines()
         assert lines[0].startswith("switch,")
         assert len(lines) == 5
+
+
+class TestExitCodes:
+    @pytest.mark.parametrize(
+        "error, code, label",
+        [
+            ("ConcentrationError", 1, "contract violation: "),
+            ("ConfigurationError", 2, "error: "),
+            ("ExecutionError", 3, "execution failure: "),
+        ],
+    )
+    def test_main_maps_library_errors(self, monkeypatch, capsys, error, code, label):
+        import argparse
+
+        from repro import errors
+
+        def raising(args):
+            raise getattr(errors, error)("boom")
+
+        monkeypatch.setattr(
+            argparse.ArgumentParser,
+            "parse_args",
+            lambda self, argv=None: argparse.Namespace(func=raising, log_level="warning"),
+        )
+        assert main([]) == code
+        assert capsys.readouterr().err == f"{label}boom\n"
