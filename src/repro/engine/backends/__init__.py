@@ -3,16 +3,19 @@
 ``get_backend("process", workers=W)`` returns the one engine backend,
 :class:`~repro.engine.backends.sharded.ShardedBackend`: inline at
 ``workers == 1``, supervised over the persistent process pool
-otherwise, with byte-identical results either way; see
-``docs/performance.md`` ("Scaling").
+otherwise, with byte-identical results either way.  A stream shard is
+drawn, routed and checked in row blocks of about ``BLOCK_CELLS``
+cells, so its memory does not grow with the shard size; see
+``docs/performance.md`` ("Scaling", "Bounded-memory stream shards").
 """
 
 from repro.engine.backends.base import (
+    BLOCK_CELLS,
     DEFAULT_SHARD_TRIALS,
     StreamSpec,
     StreamSummary,
     resolve_workers,
-    shard_valid,
+    shard_blocks,
     summarize_batch,
 )
 from repro.engine.backends.pool import shared_pool, shutdown_pools
@@ -26,6 +29,7 @@ from repro.engine.backends.supervisor import (
 )
 
 __all__ = [
+    "BLOCK_CELLS",
     "DEFAULT_SHARD_TRIALS",
     "ShardSupervisor",
     "ShardedBackend",
@@ -37,7 +41,7 @@ __all__ = [
     "get_backend",
     "remove_event_sink",
     "resolve_workers",
-    "shard_valid",
+    "shard_blocks",
     "shared_pool",
     "shutdown_pools",
     "summarize_batch",

@@ -2,10 +2,11 @@
 
 * :class:`StreamSpec` — a stream of random trials, split into shards
   whose bounds depend only on the trial count;
-* :func:`shard_valid` — the shard trial generator: each shard draws
+* :func:`shard_blocks` — the shard trial generator: each shard draws
   its rows from its own ``SeedSequence(seed).spawn(n_shards)`` child,
-  keyed by shard position;
-* :func:`summarize_batch` / :class:`StreamSummary` — the O(1) per-shard
+  keyed by shard position, and yields them in row blocks of about
+  :data:`BLOCK_CELLS` cells, so no ``(shard_trials, n)`` array is built;
+* :func:`summarize_batch` / :class:`StreamSummary` — the O(1) per-block
   reduction and its associative, commutative fold.
 
 Together these make a stream's ε/α results identical for any worker
@@ -17,6 +18,7 @@ otherwise.
 from __future__ import annotations
 
 import os
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -28,6 +30,11 @@ from repro.errors import ConfigurationError, ReproError
 #: enough that peak memory stays flat at 10^7+ trials, large enough
 #: that the per-shard numpy dispatch overhead is noise.
 DEFAULT_SHARD_TRIALS = 4096
+
+#: Cells (rows × n) per row block of a stream shard: a block's float64
+#: draw is 2 MB, so a shard's working set stays cache-sized and flat in
+#: n (256 rows at n=1024, 64 at n=4096, one row past n=2^17).
+BLOCK_CELLS = 2**18
 
 
 def resolve_workers(workers: int | None) -> int:
@@ -77,19 +84,30 @@ class StreamSpec:
         ]
 
 
-def shard_valid(
+def shard_blocks(
     n: int, count: int, entropy: np.random.SeedSequence, load: str
-) -> np.ndarray:
-    """The shard trial generator: ``count`` rows
-    of valid bits drawn from a generator seeded by the shard's own
-    SeedSequence child."""
+) -> Iterator[tuple[int, np.ndarray]]:
+    """The shard trial generator: ``count`` rows of valid bits drawn
+    from a generator seeded by the shard's own SeedSequence child,
+    yielded as ``(offset, block)`` pairs of at most
+    ``max(1, BLOCK_CELLS // n)`` rows each.
+
+    ``mixed`` draws the whole shard's per-trial thresholds first, then
+    the rows block by block.  Consecutive ``rng.random`` calls return
+    the same doubles as one call, so the blocks concatenate to the
+    one-shot ``rng.random((count, n)) < thresholds`` bit for bit.
+    """
     rng = np.random.default_rng(entropy)
     if load == "half":
-        return rng.random((count, n)) < 0.5
-    if load == "mixed":
+        thresholds = np.full((count, 1), 0.5)
+    elif load == "mixed":
         thresholds = rng.random((count, 1))
-        return rng.random((count, n)) < thresholds
-    raise ConfigurationError(f"unknown stream load model {load!r}")
+    else:
+        raise ConfigurationError(f"unknown stream load model {load!r}")
+    rows = max(1, BLOCK_CELLS // n)
+    for offset in range(0, count, rows):
+        stop = min(offset + rows, count)
+        yield offset, rng.random((stop - offset, n)) < thresholds[offset:stop]
 
 
 @dataclass(frozen=True)
@@ -138,13 +156,13 @@ def summarize_batch(
     check_contract: bool = True,
     measure_epsilon: bool = True,
 ) -> StreamSummary:
-    """Reduce one shard's :class:`~repro.engine.batch.BatchRouting` to a
-    :class:`StreamSummary`; ``start`` is the shard's first trial index
+    """Reduce one block's :class:`~repro.engine.batch.BatchRouting` to a
+    :class:`StreamSummary`; ``start`` is the block's first trial index
     in the stream.
 
     Contract violations are *counted*, never raised — the caller decides
     whether a violated stream is an exit code or a recorded finding.
-    The whole shard is checked at once; only a shard that fails is
+    The whole block is checked at once; only a block that fails is
     re-checked row by row, for messages that name the stream trial and
     its pattern.
     """
@@ -185,10 +203,11 @@ def summarize_batch(
 
 
 __all__ = [
+    "BLOCK_CELLS",
     "DEFAULT_SHARD_TRIALS",
     "StreamSpec",
     "StreamSummary",
     "resolve_workers",
-    "shard_valid",
+    "shard_blocks",
     "summarize_batch",
 ]

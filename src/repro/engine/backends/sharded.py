@@ -7,12 +7,16 @@ persistent :mod:`~repro.engine.backends.pool` and executed through the
 vectorized batch engine, and the results come back two ways:
 
 * ``run_trials`` — each job carries its row slice of the valid bits
-  and returns that slice's int32 final positions, both by pickle;
+  and returns that slice's routing (int32 for the plan switches), both
+  by pickle, so inline and pooled results share dtype and bytes;
 * ``run_stream`` — workers *generate* their shard's trials from a
-  ``SeedSequence(seed).spawn(...)`` child keyed by shard position and
-  return an O(1) :class:`~repro.engine.backends.base.StreamSummary`,
-  which the parent folds in shard order — peak memory stays flat at
-  10⁷+ trials because full trial arrays never exist anywhere.
+  ``SeedSequence(seed).spawn(...)`` child keyed by shard position, in
+  row blocks of about :data:`~repro.engine.backends.base.BLOCK_CELLS`
+  cells that are routed, checked and folded one at a time, and return
+  an O(1) :class:`~repro.engine.backends.base.StreamSummary`, which the
+  parent folds in shard order — peak memory stays flat in both the
+  trial count and the shard size, because neither the stream nor a
+  shard is ever held as one trial array.
 
 Shards are dispatched through :func:`~repro.engine.backends.supervisor.fan_out`:
 each runs under a private :mod:`repro.obs` registry and the parent
@@ -25,6 +29,8 @@ worker count.
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 
 from repro.engine.backends.base import (
@@ -32,7 +38,7 @@ from repro.engine.backends.base import (
     StreamSpec,
     StreamSummary,
     resolve_workers,
-    shard_valid,
+    shard_blocks,
     summarize_batch,
 )
 from repro.engine.backends.supervisor import SupervisorPolicy, fan_out
@@ -42,23 +48,29 @@ from repro.errors import ConfigurationError
 
 def _routing_shard_job(job: dict) -> np.ndarray:
     """Worker body for ``run_trials``: route this shard's rows and
-    return their final positions as int32."""
-    return job["switch"].setup_batch(job["valid"]).input_to_output.astype(np.int32)
+    return their routing in the switch's own dtype."""
+    return job["switch"].setup_batch(job["valid"]).input_to_output
 
 
 def _stream_shard_job(job: dict) -> dict:
     """Worker body for ``run_stream``: generate this shard's trials
-    from its own SeedSequence child, route, and reduce to a summary."""
+    from its own SeedSequence child block by block, route and reduce
+    each block, and fold the blocks in order into one shard summary."""
     switch = job["switch"]
-    valid = shard_valid(switch.n, job["count"], job["entropy"], job["load"])
-    summary = summarize_batch(
-        switch,
-        switch.setup_batch(valid),
-        start=job["start"],
-        check_contract=job["check_contract"],
-        measure_epsilon=job["measure_epsilon"],
-    )
-    return summary.__dict__.copy()
+    summary = StreamSummary()
+    for offset, valid in shard_blocks(
+        switch.n, job["count"], job["entropy"], job["load"]
+    ):
+        summary = summary.fold(
+            summarize_batch(
+                switch,
+                switch.setup_batch(valid),
+                start=job["start"] + offset,
+                check_contract=job["check_contract"],
+                measure_epsilon=job["measure_epsilon"],
+            )
+        )
+    return replace(summary, shards=1).__dict__
 
 
 class ShardedBackend:
@@ -117,7 +129,7 @@ class ShardedBackend:
         ]
         routing = np.concatenate(
             list(self._run_shards(switch, _routing_shard_job, jobs))
-        ).astype(np.int64)
+        )
         return BatchRouting(
             n_inputs=switch.n,
             n_outputs=switch.m,

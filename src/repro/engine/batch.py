@@ -34,7 +34,9 @@ class BatchRouting:
 
     ``input_to_output[b, i]`` is the output wire carrying input ``i``'s
     message in trial ``b`` (−1 when it has no path) — one
-    :class:`~repro.switches.base.Routing` row per trial.
+    :class:`~repro.switches.base.Routing` row per trial.  Its signed
+    integer dtype is the producer's: int32 from the plan walker
+    (:func:`concentrate_plan_batch`), int64 from most other switches.
 
     ``carried`` is the ``(rows, positions)`` pair of the walk that
     produced the routing: the trial row and final flat position of
@@ -45,7 +47,7 @@ class BatchRouting:
     n_inputs: int
     n_outputs: int
     valid: np.ndarray  # (B, n) bool
-    input_to_output: np.ndarray  # (B, n) int64
+    input_to_output: np.ndarray  # (B, n) signed integers
     carried: tuple[np.ndarray, np.ndarray] | None = field(
         default=None, repr=False, compare=False
     )
@@ -97,9 +99,15 @@ class BatchRouting:
         if self.carried is None:
             return None
         rows, positions = self.carried
-        out = np.zeros((len(self), self.n_inputs), dtype=bool)
-        out[rows, positions] = True
-        return out
+        batch, n = len(self), self.n_inputs
+        if batch * n < 2**31:
+            flat = rows.astype(np.int32, copy=False) * np.int32(n)
+        else:
+            flat = rows.astype(np.int64) * n
+        flat += positions
+        out = np.zeros(batch * n, dtype=bool)
+        out[flat] = True
+        return out.reshape(batch, n)
 
     def output_valid_bits(self) -> np.ndarray:
         """The valid bits as seen on the output wires, shape (B, m)."""
@@ -332,12 +340,12 @@ def concentrate_plan_batch(
     """Batch routing of a plan-based partial concentrator: each valid
     input's final position if it lands on one of the first ``m`` wires,
     else −1 (and −1 for every invalid input) — the fused batched form of
-    ``np.where(valid & (final < m), final, -1)``.  The same walk's final
-    positions become the result's :attr:`BatchRouting.occupancy`."""
+    ``np.where(valid & (final < m), final, -1)``.  The routing is int32
+    (every value is in [−1, m)).  The same walk's final positions become
+    the result's :attr:`BatchRouting.occupancy`."""
     flat_idx, rows, pos = _run_plan_sparse_flat(plan, valid)
-    routing = np.full(valid.shape, -1, dtype=np.int64)
-    routing.reshape(-1)[flat_idx] = pos
-    routing[routing >= m] = -1
+    routing = np.full(valid.shape, -1, dtype=np.int32)
+    routing.reshape(-1)[flat_idx] = np.where(pos < m, pos, np.int32(-1))
     return BatchRouting(
         n_inputs=valid.shape[1],
         n_outputs=m,

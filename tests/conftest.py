@@ -60,17 +60,28 @@ def gate_fold(circuit: Circuit, inputs: np.ndarray, forces=None) -> np.ndarray:
     return out[0] if arr.ndim == 1 else out
 
 
+def oneshot_valid(n, count, entropy, load):
+    """A whole stream shard's valid bits in one draw: the formula the
+    blocked ``shard_blocks`` generator must reproduce bit for bit."""
+    rng = np.random.default_rng(entropy)
+    if load == "half":
+        return rng.random((count, n)) < 0.5
+    thresholds = rng.random((count, 1))
+    return rng.random((count, n)) < thresholds
+
+
 def serial_stream(switch, spec):
-    """Reference stream fold, without the backend's dispatch: each
-    shard's rows from its position-keyed ``SeedSequence`` child, routed
-    by ``setup_batch``, summarised and folded in shard order."""
-    from repro.engine.backends import StreamSummary, shard_valid, summarize_batch
+    """Reference stream fold, without the backend's dispatch or its row
+    blocks: each shard's rows in one draw from its position-keyed
+    ``SeedSequence`` child, routed by one ``setup_batch``, summarised and
+    folded in shard order."""
+    from repro.engine.backends import StreamSummary, summarize_batch
 
     shards = spec.shards()
     children = np.random.SeedSequence(spec.seed).spawn(max(1, len(shards)))
     summary = StreamSummary()
     for index, (start, stop) in enumerate(shards):
-        valid = shard_valid(switch.n, stop - start, children[index], spec.load)
+        valid = oneshot_valid(switch.n, stop - start, children[index], spec.load)
         summary = summary.fold(
             summarize_batch(
                 switch,

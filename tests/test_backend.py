@@ -1,10 +1,12 @@
 """The sharded engine backend: its factory, routing parity with the
-scalar and batch paths, plan-cache warm start, and the worker-count
-determinism guarantees of its stream fold."""
+scalar and batch paths, plan-cache warm start, the worker-count
+determinism guarantees of its stream fold, and the row blocks a stream
+shard is drawn, routed and checked in."""
 
 from __future__ import annotations
 
 import pickle
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -20,8 +22,9 @@ from repro.engine import (
     plan_key,
     resolve_workers,
 )
-from repro.engine.backends import shard_valid, summarize_batch
-from repro.engine.backends.sharded import ShardedBackend
+from repro.engine.backends import BLOCK_CELLS, shard_blocks, summarize_batch
+from repro.engine.backends.sharded import ShardedBackend, _stream_shard_job
+from repro.engine.batch import BatchRouting
 from repro.errors import ConfigurationError
 from repro.gates.evaluate import evaluate
 from repro.switches.columnsort_switch import ColumnsortSwitch
@@ -29,7 +32,7 @@ from repro.switches.hyperconcentrator import Hyperconcentrator
 from repro.switches.revsort_switch import RevsortSwitch
 from repro.verify import CertifyOptions, certify_design
 from repro.verify.differential import netlist_for, output_occupancy
-from tests.conftest import serial_stream
+from tests.conftest import oneshot_valid, serial_stream
 
 #: Small budgets so certify-based tests run in seconds.
 QUICK = CertifyOptions(
@@ -120,7 +123,7 @@ class TestStreamDeterminism:
         children = np.random.SeedSequence(seed).spawn(max(1, len(shards)))
         pieces = []
         for index, (start, stop) in enumerate(shards):
-            valid = shard_valid(sw.n, stop - start, children[index], spec.load)
+            valid = oneshot_valid(sw.n, stop - start, children[index], spec.load)
             pieces.append(summarize_batch(sw, sw.setup_batch(valid), start=start))
         left = StreamSummary()
         for piece in pieces:
@@ -130,6 +133,99 @@ class TestStreamDeterminism:
             right = piece.fold(right)
         assert left == right  # fold order cannot matter
         assert left == get_backend("process", workers=1).run_stream(sw, spec)
+
+
+class RareDropRevsortSwitch(RevsortSwitch):
+    """Drops every message of the trials whose first 64 inputs are all
+    valid (about one mixed-load trial in 65), so the contract breaks in
+    a few rows of each block."""
+
+    def _setup_batch(self, valid: np.ndarray) -> BatchRouting:
+        routing = super()._setup_batch(valid).input_to_output.copy()
+        routing[valid[:, :64].all(axis=1)] = -1
+        return BatchRouting(self.n, self.m, valid, routing)
+
+
+class TestBlockedShards:
+    """A stream shard is drawn, routed and checked in row blocks of
+    about ``BLOCK_CELLS`` cells; the results must equal the one-shot
+    shard's bit for bit."""
+
+    @pytest.mark.parametrize("load", ["half", "mixed"])
+    @pytest.mark.parametrize(
+        "n, count",
+        [
+            (1024, 1),
+            (1024, 4095),
+            (1024, 3 * (BLOCK_CELLS // 1024) + 7),
+            (BLOCK_CELLS + 1, 3),  # a block is a single row
+        ],
+    )
+    def test_blocks_equal_the_oneshot_draw(self, load, n, count):
+        entropy = np.random.SeedSequence(11).spawn(3)[2]
+        rows = max(1, BLOCK_CELLS // n)
+        offsets, blocks = zip(*shard_blocks(n, count, entropy, load))
+        assert list(offsets) == list(range(0, count, rows))
+        assert all(block.shape == (min(rows, count - offset), n)
+                   for offset, block in zip(offsets, blocks))
+        expected = oneshot_valid(n, count, entropy, load)
+        assert np.array_equal(np.concatenate(blocks), expected)
+
+    def test_unknown_load_is_config_error(self):
+        with pytest.raises(ConfigurationError):
+            next(shard_blocks(8, 4, np.random.SeedSequence(0), "full"))
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_violations_in_two_blocks_match_the_oneshot_fold(self, workers):
+        switch = RareDropRevsortSwitch(1024, 768)
+        spec = StreamSpec(trials=512, seed=5, shard_trials=512)
+        rows = BLOCK_CELLS // switch.n
+        entropy = np.random.SeedSequence(spec.seed).spawn(1)[0]
+        bad = np.flatnonzero(
+            oneshot_valid(switch.n, 512, entropy, spec.load)[:, :64].all(axis=1)
+        )
+        # The premise: both blocks of the shard hold violations, and
+        # the first holds fewer than the message cap.
+        assert 0 < (bad < rows).sum() < StreamSummary.MAX_MESSAGES
+        assert (bad >= rows).any()
+        expected = serial_stream(switch, spec)
+        got = get_backend("process", workers=workers).run_stream(switch, spec)
+        assert got.violations == expected.violations == bad.size
+        assert got.messages == expected.messages
+        assert [int(msg.split()[1]) for msg in got.messages] == list(
+            bad[: StreamSummary.MAX_MESSAGES]
+        )
+        assert got == expected
+
+    def test_shard_job_memory_is_bounded(self):
+        """One 4,096-trial revsort n=1024 shard never holds a (4096, n)
+        array: its tracemalloc peak stays far below the 32 MB of one
+        float64 draw of the whole shard."""
+        switch = RevsortSwitch(1024, 768)
+        switch.setup_batch(np.ones((1, switch.n), dtype=bool))  # compile
+        job = {
+            "switch": switch, "start": 0, "count": 4096,
+            "entropy": np.random.SeedSequence(1).spawn(1)[0],
+            "load": "mixed", "check_contract": True, "measure_epsilon": True,
+        }
+        tracemalloc.start()
+        try:
+            result = _stream_shard_job(job)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert result["trials"] == 4096 and result["shards"] == 1
+        assert peak < 16 * 2**20, f"shard peak {peak / 2**20:.1f} MB"
+
+    def test_run_trials_routing_is_the_same_inline_and_pooled(self, rng):
+        switch = RevsortSwitch(64, 48)
+        valid = _mixed_valid(rng, 64, switch.n)
+        inline = get_backend("process", workers=1, shard_trials=16)
+        pooled = get_backend("process", workers=2, shard_trials=16)
+        a = inline.run_trials(switch, valid).input_to_output
+        b = pooled.run_trials(switch, valid).input_to_output
+        assert a.dtype == b.dtype == np.int32
+        assert a.tobytes() == b.tobytes()
 
 
 class TestPlanCacheSnapshot:

@@ -458,9 +458,14 @@ class TestBenchCli:
         # first record: no baseline yet, still exit 0
         assert main(["bench", "compare", "--baseline", str(out)]) == 0
         assert "no-baseline" in capsys.readouterr().out
-        # second identical run: well inside the noise band
-        assert main([*self.ARGS, "--out", str(out)]) == 0
+        # The same record again must judge ok.  It is re-appended, not
+        # re-run: two single-repeat runs of a sub-millisecond bench can
+        # differ by more than the tolerance on a noisy host.  The real
+        # timing path is exercised by test_injected_slowdown_trips_the_gate.
+        first = trajectory.read_trajectory(out)
+        trajectory.append_records(out, first)
         assert main(["bench", "compare", "--baseline", str(out)]) == 0
+        assert "REGRESSION" not in capsys.readouterr().out
         assert len(trajectory.read_trajectory(out)) == 2
 
     def test_injected_slowdown_trips_the_gate(self, tmp_path, capsys,

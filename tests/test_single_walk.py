@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 
 from repro.core.concentration import validate_partial_concentration
 from repro.engine import StreamSpec, get_backend
-from repro.engine.backends import shard_valid, summarize_batch
+from repro.engine.backends import summarize_batch
 from repro.engine.batch import BatchRouting, validate_batch_partial_concentration
 from repro.errors import ConcentrationError, ReproError
 from repro.faults import FaultySwitch
@@ -31,7 +31,7 @@ from repro.switches.revsort_switch import RevsortSwitch
 from repro.verify import strategies as vst
 from repro.verify.differential import output_occupancy
 from repro.verify.patterns import pattern_hex
-from tests.conftest import serial_stream
+from tests.conftest import oneshot_valid, serial_stream
 from tests.test_fault_injection import BrokenRotationSwitch
 
 REGISTRY_SWITCHES = [
@@ -270,7 +270,7 @@ class TestStreamViolationMessages:
 
     def test_messages_carry_the_trial_pattern(self):
         children = np.random.SeedSequence(self.SPEC.seed).spawn(2)
-        valid = shard_valid(1024, 4, children[1], self.SPEC.load)
+        valid = oneshot_valid(1024, 4, children[1], self.SPEC.load)
         messages = self._messages(get_backend("process", workers=1))
         assert messages[5].startswith(f"trial 5 [{pattern_hex(valid[1])}]: ")
 
