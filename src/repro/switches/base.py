@@ -147,16 +147,23 @@ class ConcentratorSwitch(ABC):
         return self._setup_batch(valid2d)
 
     def _setup_batch(self, valid: np.ndarray) -> BatchRouting:
-        """Generic loop fallback; ``valid`` is pre-checked (B, n) bool."""
-        if valid.shape[0]:
-            routing = np.stack(
-                [self.setup(row).input_to_output for row in valid]
-            )
-        else:
-            routing = np.empty((0, self.n), dtype=np.int64)
+        """Generic fallback through the scalar oracle; ``valid`` is
+        pre-checked (B, n) bool."""
+        routing = self.scalar_routing(valid)
         return BatchRouting(
             n_inputs=self.n, n_outputs=self.m, valid=valid, input_to_output=routing
         )
+
+    def scalar_routing(self, valid: np.ndarray) -> np.ndarray:
+        """The scalar oracle over a ``(B, n)`` batch: row ``i`` equals
+        ``setup(valid[i]).input_to_output``, without the per-row
+        :class:`Routing` disjointness check.  This default calls
+        :meth:`setup` row by row; :class:`FinalPositionSwitch` designs
+        make one call over the whole batch."""
+        valid2d = self._check_valid_batch(valid)
+        if not valid2d.shape[0]:
+            return np.empty((0, self.n), dtype=np.int64)
+        return np.stack([self.setup(row).input_to_output for row in valid2d])
 
     def route(self, messages: Sequence[object | None]) -> list[object | None]:
         """Route whole messages: ``messages[i]`` is input i's payload or
@@ -168,11 +175,59 @@ class ConcentratorSwitch(ABC):
         reg = obs.get_registry()
         if reg.enabled:
             label = type(self).__name__
-            reg.counter("switch.route_calls", switch=label).inc()
-            reg.counter("switch.valid_in", switch=label).inc(int(valid.sum()))
-            reg.counter("switch.routed_out", switch=label).inc(routing.routed_count)
+            counters = reg.handles.get(("switch.route", label))
+            if counters is None:
+                counters = reg.handles[("switch.route", label)] = (
+                    reg.counter("switch.route_calls", switch=label),
+                    reg.counter("switch.valid_in", switch=label),
+                    reg.counter("switch.routed_out", switch=label),
+                )
+            counters[0].inc()
+            counters[1].inc(int(valid.sum()))
+            counters[2].inc(routing.routed_count)
         out_to_in = routing.output_to_input()
         return [messages[i] if i >= 0 else None for i in out_to_in]
+
+
+class FinalPositionSwitch(ConcentratorSwitch):
+    """A switch whose scalar oracle is :meth:`final_positions`: input
+    ``i`` leaves on output ``final_positions(valid)[i]`` when it is
+    valid and that position is below m.
+
+    ``final_positions`` takes one setup ``(n,)`` or a ``(B, n)`` batch,
+    so :meth:`setup` and :meth:`scalar_routing` read one implementation
+    of the oracle.  A subclass that overrides :meth:`setup` alone keeps
+    that override as its oracle: :meth:`scalar_routing` then falls back
+    to the row-by-row default.
+    """
+
+    @abstractmethod
+    def final_positions(self, valid: np.ndarray) -> np.ndarray:
+        """Final flat position of every input, shaped like ``valid``."""
+
+    def _check_valid_rows(self, valid: np.ndarray) -> np.ndarray:
+        """:meth:`_check_valid` for ``(n,)``, :meth:`_check_valid_batch`
+        for anything else."""
+        arr = np.asarray(valid)
+        return self._check_valid(arr) if arr.ndim == 1 else self._check_valid_batch(arr)
+
+    def _oracle_routing(self, valid: np.ndarray) -> np.ndarray:
+        final = self.final_positions(valid)
+        return np.where(valid & (final < self.m), final, -1)
+
+    def setup(self, valid: np.ndarray) -> Routing:
+        valid = self._check_valid(valid)
+        return Routing(
+            n_inputs=self.n,
+            n_outputs=self.m,
+            valid=valid,
+            input_to_output=self._oracle_routing(valid),
+        )
+
+    def scalar_routing(self, valid: np.ndarray) -> np.ndarray:
+        if type(self).setup is not FinalPositionSwitch.setup:
+            return super().scalar_routing(valid)
+        return self._oracle_routing(self._check_valid_batch(valid))
 
 
 @dataclass

@@ -42,7 +42,7 @@ from repro.mesh.columnsort import (
     validate_columnsort_shape,
 )
 from repro.mesh.order import cm_to_rm_permutation
-from repro.switches.base import ConcentratorSwitch, Routing, StageReport
+from repro.switches.base import FinalPositionSwitch, StageReport
 from repro.switches.hyperconcentrator import Hyperconcentrator
 from repro.switches.wiring import apply_chip_layer, column_groups, compose, permute_bits
 
@@ -55,7 +55,7 @@ def _build_columnsort_plan(r: int, s: int) -> StagePlan:
     return StagePlan(key=("columnsort", r, s), n=r * s, ops=(cols, reshuffle, cols))
 
 
-class ColumnsortSwitch(ConcentratorSwitch):
+class ColumnsortSwitch(FinalPositionSwitch):
     """Section 5's two-stage Columnsort-based partial concentrator.
 
     Parameters
@@ -114,9 +114,10 @@ class ColumnsortSwitch(ConcentratorSwitch):
         )
 
     def stage_permutations(self, valid: np.ndarray) -> list[np.ndarray]:
-        """Per-layer position permutations: stage-1 chips, the
-        ``RM⁻¹∘CM`` wiring, stage-2 chips."""
-        valid = self._check_valid(valid)
+        """Per-layer position permutations for one setup ``(n,)`` or a
+        ``(B, n)`` batch: stage-1 chips, the ``RM⁻¹∘CM`` wiring (always
+        ``(n,)``), stage-2 chips."""
+        valid = self._check_valid_rows(valid)
         cols, reshuffle, _ = self._plan.ops
 
         p1 = apply_chip_layer(valid, cols)
@@ -125,21 +126,14 @@ class ColumnsortSwitch(ConcentratorSwitch):
         return [p1, reshuffle.perm, p2]
 
     def final_positions(self, valid: np.ndarray) -> np.ndarray:
-        """Flat row-major position of each input after both stages."""
+        """Flat row-major position of each input after both stages,
+        shaped like ``valid``."""
         return compose(self.stage_permutations(valid))
 
     def final_positions_batch(self, valid: np.ndarray) -> np.ndarray:
         """Batched :meth:`final_positions` over ``(B, n)`` trials;
         entries for invalid inputs are unspecified."""
         return run_plan(self._plan, self._check_valid_batch(valid))
-
-    def setup(self, valid: np.ndarray) -> Routing:
-        valid = self._check_valid(valid)
-        final = self.final_positions(valid)
-        routing = np.where(valid & (final < self.m), final, -1)
-        return Routing(
-            n_inputs=self.n, n_outputs=self.m, valid=valid, input_to_output=routing
-        )
 
     def _setup_batch(self, valid: np.ndarray) -> BatchRouting:
         return concentrate_plan_batch(self._plan, valid, self.m)

@@ -46,7 +46,7 @@ from repro.errors import ConfigurationError
 from repro.mesh.columnsort import validate_columnsort_shape
 from repro.mesh.grid import sort_columns
 from repro.mesh.order import cm_to_rm_permutation
-from repro.switches.base import ConcentratorSwitch, Routing
+from repro.switches.base import FinalPositionSwitch
 from repro.switches.hyperconcentrator import Hyperconcentrator
 from repro.switches.wiring import apply_chip_layer, column_groups, compose, permute_bits
 
@@ -72,7 +72,7 @@ def _build_iterated_plan(r: int, s: int, passes: int) -> StagePlan:
     return StagePlan(key=("iterated-columnsort", r, s, passes), n=r * s, ops=tuple(ops))
 
 
-class IteratedColumnsortSwitch(ConcentratorSwitch):
+class IteratedColumnsortSwitch(FinalPositionSwitch):
     """A ``k``-pass Columnsort partial concentrator: ``k`` rounds of
     (column-sort stage, CM→RM wiring) followed by one final
     column-sort stage — ``k+1`` chip stages, ``k`` wiring layers.
@@ -136,7 +136,9 @@ class IteratedColumnsortSwitch(ConcentratorSwitch):
         return (out if self.readout == "rm" else out.T).reshape(-1)
 
     def stage_permutations(self, valid: np.ndarray) -> list[np.ndarray]:
-        valid = self._check_valid(valid)
+        """Per-layer position permutations for one setup ``(n,)`` or a
+        ``(B, n)`` batch; the reshuffles stay ``(n,)``."""
+        valid = self._check_valid_rows(valid)
         ops = self._plan.ops
         cols = ops[0]
         # CM→RM after odd passes, RM→CM after even ones.
@@ -155,7 +157,7 @@ class IteratedColumnsortSwitch(ConcentratorSwitch):
 
     def final_positions(self, valid: np.ndarray) -> np.ndarray:
         """Final *output-wire index* of each input, in the readout
-        ordering."""
+        ordering, shaped like ``valid``."""
         return compose(self.stage_permutations(valid))
 
     def final_positions_batch(self, valid: np.ndarray) -> np.ndarray:
@@ -163,14 +165,6 @@ class IteratedColumnsortSwitch(ConcentratorSwitch):
         the readout ordering; entries for invalid inputs are
         unspecified."""
         return run_plan(self._plan, self._check_valid_batch(valid))
-
-    def setup(self, valid: np.ndarray) -> Routing:
-        valid = self._check_valid(valid)
-        final = self.final_positions(valid)
-        routing = np.where(valid & (final < self.m), final, -1)
-        return Routing(
-            n_inputs=self.n, n_outputs=self.m, valid=valid, input_to_output=routing
-        )
 
     def _setup_batch(self, valid: np.ndarray) -> BatchRouting:
         return concentrate_plan_batch(self._plan, valid, self.m)

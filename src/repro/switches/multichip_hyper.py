@@ -51,7 +51,7 @@ from repro.mesh.order import (
     rm_to_cm_permutation,
 )
 from repro.mesh.revsort import revsort_repetitions
-from repro.switches.base import ConcentratorSwitch, Routing
+from repro.switches.base import FinalPositionSwitch
 from repro.switches.hyperconcentrator import Hyperconcentrator
 from repro.switches.wiring import (
     apply_chip_layer,
@@ -80,7 +80,7 @@ def _build_full_revsort_plan(n: int, side: int, repetitions: int) -> StagePlan:
     return StagePlan(key=("fullrevsort", n), n=n, ops=tuple(ops))
 
 
-class FullRevsortHyperconcentrator(ConcentratorSwitch):
+class FullRevsortHyperconcentrator(FinalPositionSwitch):
     """n-by-n multichip hyperconcentrator from the full Revsort
     (Section 6)."""
 
@@ -107,8 +107,9 @@ class FullRevsortHyperconcentrator(ConcentratorSwitch):
         return ConcentratorSpec(n=self.n, m=self.n, alpha=1.0)
 
     def final_positions(self, valid: np.ndarray) -> np.ndarray:
-        """Row-major position of each input after the full pipeline."""
-        valid = self._check_valid(valid)
+        """Row-major position of each input after the full pipeline,
+        for one setup ``(n,)`` or a ``(B, n)`` batch."""
+        valid = self._check_valid_rows(valid)
         ops = self._plan.ops
         cols, rows, rotate = ops[:3]
         # First Shearsort stage: after `repetitions` (cols, rows,
@@ -141,14 +142,6 @@ class FullRevsortHyperconcentrator(ConcentratorSwitch):
         """Batched :meth:`final_positions` over ``(B, n)`` trials;
         entries for invalid inputs are unspecified."""
         return run_plan(self._plan, self._check_valid_batch(valid))
-
-    def setup(self, valid: np.ndarray) -> Routing:
-        valid = self._check_valid(valid)
-        final = self.final_positions(valid)
-        routing = np.where(valid, final, -1)
-        return Routing(
-            n_inputs=self.n, n_outputs=self.n, valid=valid, input_to_output=routing
-        )
 
     def _setup_batch(self, valid: np.ndarray) -> BatchRouting:
         return concentrate_plan_batch(self._plan, valid, self.n)
@@ -183,7 +176,7 @@ class FullRevsortHyperconcentrator(ConcentratorSwitch):
         return f"FullRevsortHyperconcentrator(n={self.n})"
 
 
-class FullColumnsortHyperconcentrator(ConcentratorSwitch):
+class FullColumnsortHyperconcentrator(FinalPositionSwitch):
     """n-by-n multichip hyperconcentrator from all eight Columnsort
     steps (Section 6); requires ``r ≥ 2(s−1)²``."""
 
@@ -205,18 +198,18 @@ class FullColumnsortHyperconcentrator(ConcentratorSwitch):
         return ConcentratorSpec(n=self.n, m=self.n, alpha=1.0)
 
     def final_positions(self, valid: np.ndarray) -> np.ndarray:
-        """Column-major output index of each input after all 8 steps."""
-        valid = self._check_valid(valid)
+        """Column-major output index of each input after all 8 steps,
+        for one setup ``(n,)`` or a ``(B, n)`` batch."""
+        valid = self._check_valid_rows(valid)
         r, s, n, half = self.r, self.s, self.n, self.half
 
-        # pos[i] = current flat row-major position of input i.
+        # pos[..., i] = current flat row-major position of input i.
         pos = np.arange(n, dtype=np.int64)
 
         def sort(layer: ChipLayer) -> None:
             nonlocal pos
-            bits = np.zeros(n, dtype=bool)
-            bits[pos] = valid
-            pos = apply_chip_layer(bits, layer)[pos]
+            bits = permute_bits(valid, pos)
+            pos = compose([pos, apply_chip_layer(bits, layer)])
 
         sort(self._cols)                               # step 1
         pos = self._cm_to_rm[pos]                      # step 2
@@ -232,12 +225,11 @@ class FullColumnsortHyperconcentrator(ConcentratorSwitch):
         # step 7: sort columns of the extended matrix, with sentinel
         # wires: top half-column of column 0 hardwired valid, trailing
         # half column of column s hardwired invalid.
-        bits_ext = np.zeros(n + r, dtype=bool)
-        bits_ext[pos_ext] = valid
-        for t in range(half):                          # valid sentinels
-            bits_ext[(s + 1) * t] = True
+        bits_ext = np.zeros(valid.shape[:-1] + (n + r,), dtype=bool)
+        np.put_along_axis(bits_ext, pos_ext, valid, axis=-1)
+        bits_ext[..., (s + 1) * np.arange(half)] = True  # valid sentinels
         perm_ext = apply_chip_layer(bits_ext, self._cols_ext)
-        pos_ext = perm_ext[pos_ext]
+        pos_ext = compose([pos_ext, perm_ext])
 
         # step 8: unshift — strip sentinels; the output index is the
         # real column-major position x = x' − half.
@@ -248,14 +240,6 @@ class FullColumnsortHyperconcentrator(ConcentratorSwitch):
                 "a message landed in a sentinel slot during Columnsort step 8"
             )
         return x
-
-    def setup(self, valid: np.ndarray) -> Routing:
-        valid = self._check_valid(valid)
-        final = self.final_positions(valid)
-        routing = np.where(valid, final, -1)
-        return Routing(
-            n_inputs=self.n, n_outputs=self.n, valid=valid, input_to_output=routing
-        )
 
     # -- resource model --------------------------------------------------
 

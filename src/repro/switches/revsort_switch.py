@@ -45,7 +45,7 @@ from repro.errors import ConfigurationError
 from repro.mesh.order import rev_rotate_permutation
 from repro.mesh.revsort import revsort_dirty_row_bound, revsort_epsilon_bound
 from repro.switches.barrel import BarrelShifter
-from repro.switches.base import ConcentratorSwitch, Routing, StageReport
+from repro.switches.base import FinalPositionSwitch, StageReport
 from repro.switches.hyperconcentrator import Hyperconcentrator
 from repro.switches.wiring import (
     apply_chip_layer,
@@ -66,7 +66,7 @@ def _build_revsort_plan(n: int, side: int) -> StagePlan:
     return StagePlan(key=("revsort", n), n=n, ops=(cols, rows, rotate, cols))
 
 
-class RevsortSwitch(ConcentratorSwitch):
+class RevsortSwitch(FinalPositionSwitch):
     """Section 4's three-stage Revsort-based partial concentrator.
 
     Parameters
@@ -129,11 +129,12 @@ class RevsortSwitch(ConcentratorSwitch):
         )
 
     def stage_permutations(self, valid: np.ndarray) -> list[np.ndarray]:
-        """The per-layer position permutations for one setup: stage-1
-        chips, stage-2 chips, the rotate wiring, stage-3 chips.  (The
-        stage-1→2 transpose moves chips, not matrix entries, so it is
-        the identity on flat positions.)"""
-        valid = self._check_valid(valid)
+        """The per-layer position permutations for one setup ``(n,)``
+        or a ``(B, n)`` batch: stage-1 chips, stage-2 chips, the rotate
+        wiring (always ``(n,)``), stage-3 chips.  (The stage-1→2
+        transpose moves chips, not matrix entries, so it is the
+        identity on flat positions.)"""
+        valid = self._check_valid_rows(valid)
         cols, rows, rotate, _ = self._plan.ops
         rotate_perm = self._rotate_perm_cache
         if rotate_perm is None:
@@ -148,7 +149,7 @@ class RevsortSwitch(ConcentratorSwitch):
 
     def final_positions(self, valid: np.ndarray) -> np.ndarray:
         """Flat row-major matrix position of each input after all three
-        stages (before the output restriction)."""
+        stages (before the output restriction), shaped like ``valid``."""
         return compose(self.stage_permutations(valid))
 
     def final_positions_batch(self, valid: np.ndarray) -> np.ndarray:
@@ -157,18 +158,8 @@ class RevsortSwitch(ConcentratorSwitch):
         :func:`repro.engine.run_plan`)."""
         valid2d = self._check_valid_batch(valid)
         if self._rotate_perm_cache is not None:  # plan no longer applies
-            if not valid2d.shape[0]:
-                return np.empty(valid2d.shape, dtype=np.int64)
-            return np.stack([self.final_positions(row) for row in valid2d])
+            return self.final_positions(valid2d)
         return run_plan(self._plan, valid2d)
-
-    def setup(self, valid: np.ndarray) -> Routing:
-        valid = self._check_valid(valid)
-        final = self.final_positions(valid)
-        routing = np.where(valid & (final < self.m), final, -1)
-        return Routing(
-            n_inputs=self.n, n_outputs=self.m, valid=valid, input_to_output=routing
-        )
 
     def _setup_batch(self, valid: np.ndarray) -> BatchRouting:
         if self._rotate_perm_cache is not None:

@@ -11,6 +11,14 @@ Both are represented uniformly as permutations of the flat wire-position
 space, so the whole switch composes into a single permutation per setup
 (plus the fixed output restriction).  This module builds the group
 index sets and applies the chip-layer concentration.
+
+:func:`apply_chip_layer`, :func:`permute_bits` and :func:`compose` take
+one setup as an ``(n,)`` array or ``B`` independent setups as a
+``(B, n)`` array; a fixed wiring stays ``(n,)`` and broadcasts over the
+rows.  The row axis only stacks setups: every row runs the same
+algorithm as a 1-D call and equals it.  This is the scalar oracle the
+certifier checks the plan walker against, so it shares no code with
+:mod:`repro.engine.batch`.
 """
 
 from __future__ import annotations
@@ -56,10 +64,11 @@ def apply_chip_layer(
 ) -> np.ndarray:
     """One bank of hyperconcentrator chips as a position permutation.
 
-    ``valid_by_pos[p]`` is the valid bit currently on wire position
-    ``p``.  Each group is fed to one chip; the chip moves its valid
-    inputs to its leading wires (order-preserving).  Returns ``perm``
-    with ``new_position = perm[old_position]``.  Positions not covered
+    ``valid_by_pos[..., p]`` is the valid bit currently on wire position
+    ``p``, for one setup ``(n,)`` or a ``(B, n)`` batch.  Each group is
+    fed to one chip; the chip moves its valid inputs to its leading
+    wires (order-preserving).  Returns ``perm`` of the same shape with
+    ``new_position = perm[..., old_position]``.  Positions not covered
     by any group stay put; groups must be disjoint.
 
     ``layer`` is normally a compiled :class:`~repro.engine.plan.ChipLayer`
@@ -71,18 +80,31 @@ def apply_chip_layer(
     oracle.  A list of equal-width groups is compiled first; an
     irregular list is concentrated chip by chip.
     """
-    n = valid_by_pos.size
     if not isinstance(layer, ChipLayer):
         if len({g.size for g in layer}) == 1:
             layer = chip_layer(layer)
+        elif valid_by_pos.ndim == 2:
+            rows = [_apply_irregular(row, layer) for row in valid_by_pos]
+            return np.stack(rows) if rows else np.empty(valid_by_pos.shape, np.int64)
         else:
             return _apply_irregular(valid_by_pos, layer)
+    n = valid_by_pos.shape[-1]
     groups = layer.groups
     chips, width = groups.shape
-    order = np.argsort(~valid_by_pos[groups], axis=1, kind="stable")  # winners first
+    batch = valid_by_pos.ndim == 2
+    bits = valid_by_pos[:, groups] if batch else valid_by_pos[groups]
+    order = np.argsort(~bits, axis=-1, kind="stable")  # winners first
     order += np.arange(0, chips * width, width)[:, None]
-    perm = np.arange(n, dtype=np.int64)
-    perm[groups.reshape(-1)[order]] = groups
+    targets = groups.reshape(-1)[order]
+    if not batch:
+        perm = np.arange(n, dtype=np.int64)
+        perm[targets] = groups
+        return perm
+    # Offset each row's targets into the flattened batch.
+    rows = valid_by_pos.shape[0]
+    perm = np.tile(np.arange(n, dtype=np.int64), (rows, 1))
+    targets += (np.arange(rows) * n)[:, None, None]
+    perm.reshape(-1)[targets] = groups
     return perm
 
 
@@ -99,20 +121,38 @@ def _apply_irregular(valid_by_pos: np.ndarray, groups: list[np.ndarray]) -> np.n
 
 
 def permute_bits(bits: np.ndarray, perm: np.ndarray) -> np.ndarray:
-    """Move the bit at position ``p`` to position ``perm[p]``."""
-    out = np.empty_like(bits)
-    out[perm] = bits
+    """Move the bit at position ``p`` to position ``perm[..., p]``.
+
+    ``bits`` and ``perm`` are each ``(n,)`` or ``(B, n)``; a 1-D operand
+    applies to every row of a 2-D one."""
+    if perm.ndim == 2:
+        out = np.empty(perm.shape, dtype=bits.dtype)
+        np.put_along_axis(out, perm, bits, axis=-1)
+    elif bits.ndim == 2:
+        out = np.empty_like(bits)
+        out[:, perm] = bits
+    else:
+        out = np.empty_like(bits)
+        out[perm] = bits
     return out
 
 
 def compose(perms: list[np.ndarray]) -> np.ndarray:
     """Compose position permutations applied left to right:
-    ``result[p] = perms[-1][...perms[0][p]...]``."""
+    ``result[..., p] = perms[-1][..., ...perms[0][..., p]...]``.
+
+    Each permutation is ``(n,)`` or ``(B, n)``; the result is 2-D as
+    soon as one of them is, a 1-D permutation acting on every row."""
     if not perms:
         raise ConfigurationError("cannot compose an empty permutation list")
     out = perms[0].copy()
     for perm in perms[1:]:
-        out = perm[out]
+        if perm.ndim == 1:
+            out = perm[out]
+        else:
+            if out.ndim == 1:
+                out = np.broadcast_to(out, (perm.shape[0], out.size))
+            out = np.take_along_axis(perm, out, axis=-1)
     return out
 
 

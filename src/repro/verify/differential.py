@@ -113,21 +113,28 @@ def scalar_parity_failures(
     switch, valid: np.ndarray, batch_routing: np.ndarray, indices
 ) -> list[tuple[int, str]]:
     """Rows of ``valid`` (restricted to ``indices``) where the scalar
-    ``setup`` oracle disagrees with the batched routing."""
+    ``setup`` oracle disagrees with the batched routing.
+
+    The oracle runs once over all picked rows, through
+    :meth:`~repro.switches.base.ConcentratorSwitch.scalar_routing`, whose
+    row ``i`` is ``setup(valid[i]).input_to_output``.  The oracle rows
+    are not wrapped in :class:`~repro.switches.base.Routing`; each is
+    compared entry by entry with the batch routing, whose paths the
+    contract check has already validated."""
+    indices = np.asarray(indices, dtype=np.intp)
+    expected = switch.scalar_routing(valid[indices])
+    got = np.asarray(batch_routing)[indices]
     failures: list[tuple[int, str]] = []
-    for i in indices:
-        expected = switch.setup(valid[i]).input_to_output
-        got = batch_routing[i]
-        if not np.array_equal(expected, got):
-            bad = np.flatnonzero(expected != got)
-            failures.append(
-                (
-                    int(i),
-                    f"setup_batch diverges from setup at inputs {bad.tolist()}"
-                    f" (scalar {expected[bad].tolist()},"
-                    f" batch {np.asarray(got)[bad].tolist()})",
-                )
+    for row in np.flatnonzero((expected != got).any(axis=1)):
+        bad = np.flatnonzero(expected[row] != got[row])
+        failures.append(
+            (
+                int(indices[row]),
+                f"setup_batch diverges from setup at inputs {bad.tolist()}"
+                f" (scalar {expected[row, bad].tolist()},"
+                f" batch {got[row, bad].tolist()})",
             )
+        )
     return failures
 
 
