@@ -98,6 +98,30 @@ def validate_routing_disjoint(routing: np.ndarray, n_outputs: int) -> None:
         raise ConcentrationError("routing paths are not disjoint (output reused)")
 
 
+def outputs_to_inputs(routing: np.ndarray, n_outputs: int) -> np.ndarray:
+    """Inverse maps of a ``(B, n)`` batch of routings: ``[b, j]`` is the
+    input that output ``j`` carries in row ``b`` (−1 when idle).
+
+    Checks every row as :func:`validate_routing_disjoint` does, and
+    raises its error for the first row whose paths are out of range or
+    not disjoint.  Reuse shows as an output that does not read back the
+    input last written to it."""
+    routing = np.asarray(routing)
+    rows, inputs = np.nonzero(routing >= 0)
+    targets = routing[rows, inputs]
+    inverse = np.full((routing.shape[0], n_outputs), -1, dtype=np.int64)
+    fits = targets < n_outputs
+    rows_in, inputs = rows[fits], inputs[fits]
+    flat = rows_in * n_outputs + targets[fits]
+    inverse.reshape(-1)[flat] = inputs
+    bad = np.concatenate(
+        [rows[~fits], rows_in[inverse.reshape(-1)[flat] != inputs]]
+    )
+    if bad.size:
+        validate_routing_disjoint(routing[bad.min()], n_outputs)
+    return inverse
+
+
 def validate_partial_concentration(
     spec: ConcentratorSpec, valid: np.ndarray, routing: np.ndarray
 ) -> None:

@@ -13,6 +13,7 @@ design).
 
 from __future__ import annotations
 
+import sys
 from contextlib import nullcontext
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -127,6 +128,46 @@ def _rank_dtype(width: int) -> np.dtype:
     return np.dtype(np.int32)
 
 
+def _rank_word(width: int) -> np.dtype | None:
+    """The machine word that ranks a ``width``-wide chip byte-parallel
+    (:func:`_word_ranks`), or None where the walker keeps ``cumsum``:
+    chips that are not whole uint64 words or one uint32 word, ranks
+    above 255 (a byte lane would overflow), and big-endian hosts (a
+    carry must run from a word's first byte to its last)."""
+    if sys.byteorder != "little" or width > 255:
+        return None
+    if width % 8 == 0:
+        return np.dtype(np.uint64)
+    if width == 4:
+        return np.dtype(np.uint32)
+    return None
+
+
+def _word_ranks(grp: np.ndarray, n_chips: int, width: int, word: np.dtype) -> np.ndarray:
+    """Inclusive per-chip popcount prefix of ``grp``'s rows, in place.
+
+    ``grp`` is a C-contiguous ``(B, n_chips · width)`` bool array; on
+    return its bytes, read as uint8, equal ``np.cumsum(grp.reshape(B,
+    n_chips, width), axis=2, dtype=np.uint8)``.  Each word of
+    ``word.itemsize`` bytes (0 or 1 each) times ``0x01…01`` holds in
+    byte k the sum of bytes 0..k on a little-endian host.  A chip
+    spanning several words then adds, word by word, the previous
+    word's last byte (its running total) to every byte.  No byte lane
+    carries into the next, because a rank is at most width ≤ 255.
+    """
+    ones = word.type(int.from_bytes(b"\x01" * word.itemsize, "little"))
+    words = grp.view(word).reshape(grp.shape[0], n_chips, width // word.itemsize)
+    words *= ones
+    if words.shape[2] > 1:
+        top = word.type(8 * word.itemsize - 8)
+        carry = np.empty(words.shape[:2], dtype=word)
+        for j in range(1, words.shape[2]):
+            np.right_shift(words[:, :, j - 1], top, out=carry)
+            carry *= ones
+            words[:, :, j] += carry
+    return grp.view(np.uint8)
+
+
 # Per-plan compiled executor steps, keyed by plan.key: (steps, finish).
 # Built once per plan; plain dict mutation is atomic under the GIL and
 # recomputation on a race is harmless.  PlanCache.clear() flushes this
@@ -175,7 +216,8 @@ def _compile_steps(plan: StagePlan) -> tuple[tuple, np.ndarray | None]:
         else:
             mask = None
         steps.append(
-            (entry, op.n_chips, width, _rank_dtype(width), mask, op.flat32)
+            (entry, op.n_chips, width, _rank_dtype(width), _rank_word(width),
+             mask, op.flat32)
         )
         pending = op.flat32
     compiled = (tuple(steps), pending)
@@ -279,9 +321,9 @@ def _run_plan_sparse_flat(
         "engine.run_plan",
         plan=str(plan.key), batch=batch, valid=int(flat_idx.size),
     ):
-        for layer, (entry, n_chips, width, rank_dt, mask, flat) in enumerate(
-            steps
-        ):
+        for layer, (
+            entry, n_chips, width, rank_dt, word, mask, flat
+        ) in enumerate(steps):
             with timers.span(
                 "engine.stage",
                 kind="chip", layer=layer, chips=n_chips, width=width,
@@ -295,8 +337,11 @@ def _run_plan_sparse_flat(
                 coord = entry[coord]  # this layer's chip-major slot
                 gf = flat_slots(slots)
                 grp.reshape(-1)[gf] = True
-                cs = np.cumsum(grp.reshape(batch, n_chips, width), axis=2,
-                               dtype=rank_dt)
+                if word is not None:
+                    cs = _word_ranks(grp, n_chips, width, word)
+                else:
+                    cs = np.cumsum(grp.reshape(batch, n_chips, width), axis=2,
+                                   dtype=rank_dt)
                 rank = cs.reshape(-1)[gf]  # 1-based rank among chip's valid
                 del gf
                 # The chip's first slot, then rank − 1 on from it (coord

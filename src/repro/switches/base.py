@@ -24,7 +24,11 @@ from typing import Sequence
 import numpy as np
 
 from repro import obs
-from repro.core.concentration import ConcentratorSpec, validate_routing_disjoint
+from repro.core.concentration import (
+    ConcentratorSpec,
+    outputs_to_inputs,
+    validate_routing_disjoint,
+)
 from repro.engine.batch import BatchRouting
 from repro.errors import ConfigurationError, RoutingError
 
@@ -172,21 +176,68 @@ class ConcentratorSwitch(ABC):
             raise RoutingError(f"expected {self.n} input messages, got {len(messages)}")
         valid = np.array([msg is not None for msg in messages], dtype=bool)
         routing = self.setup(valid)
-        reg = obs.get_registry()
-        if reg.enabled:
-            label = type(self).__name__
-            counters = reg.handles.get(("switch.route", label))
-            if counters is None:
-                counters = reg.handles[("switch.route", label)] = (
-                    reg.counter("switch.route_calls", switch=label),
-                    reg.counter("switch.valid_in", switch=label),
-                    reg.counter("switch.routed_out", switch=label),
-                )
+        counters = self._route_counters()
+        if counters is not None:
             counters[0].inc()
             counters[1].inc(int(valid.sum()))
             counters[2].inc(routing.routed_count)
-        out_to_in = routing.output_to_input()
-        return [messages[i] if i >= 0 else None for i in out_to_in]
+        return _gather(messages, routing.output_to_input().tolist())
+
+    def route_rows(
+        self, rows: Sequence[Sequence[object | None]]
+    ) -> list[list[object | None]]:
+        """:meth:`route` over many setups: ``route_rows(rows)[b]`` equals
+        ``route(rows[b])``.
+
+        One :meth:`scalar_routing` call sets up every row, and one
+        check over the batch asserts what :class:`Routing` asserts per
+        setup (paths in range and disjoint).  The route counters count
+        rows, as ``B`` :meth:`route` calls would."""
+        if not len(rows):
+            return []
+        for messages in rows:
+            if len(messages) != self.n:
+                raise RoutingError(
+                    f"expected {self.n} input messages, got {len(messages)}"
+                )
+        valid = np.array(
+            [[msg is not None for msg in messages] for messages in rows], dtype=bool
+        )
+        routing = self.scalar_routing(valid)
+        out_to_in = outputs_to_inputs(routing, self.m)
+        counters = self._route_counters()
+        if counters is not None:
+            counters[0].inc(len(rows))
+            counters[1].inc(int(valid.sum()))
+            # Every path is a routed message: a switch gives paths only
+            # to the inputs its setup saw valid (a stuck-at-1 fault's too).
+            counters[2].inc(int((routing >= 0).sum()))
+        return [
+            _gather(messages, inputs)
+            for messages, inputs in zip(rows, out_to_in.tolist())
+        ]
+
+    def _route_counters(self) -> tuple | None:
+        """The ``switch.route_calls``, ``valid_in`` and ``routed_out``
+        counters of this switch class, or None with telemetry off."""
+        reg = obs.get_registry()
+        if not reg.enabled:
+            return None
+        label = type(self).__name__
+        counters = reg.handles.get(("switch.route", label))
+        if counters is None:
+            counters = reg.handles[("switch.route", label)] = (
+                reg.counter("switch.route_calls", switch=label),
+                reg.counter("switch.valid_in", switch=label),
+                reg.counter("switch.routed_out", switch=label),
+            )
+        return counters
+
+
+def _gather(messages: Sequence[object | None], inputs: list[int]) -> list[object | None]:
+    """The output slots of one setup: ``inputs[j]`` is the input that
+    output ``j`` carries, −1 when it is idle."""
+    return [messages[i] if i >= 0 else None for i in inputs]
 
 
 class FinalPositionSwitch(ConcentratorSwitch):

@@ -37,9 +37,10 @@ from repro.switches.base import ConcentratorSwitch, Routing
 
 def prefix_ranks(valid: np.ndarray) -> np.ndarray:
     """The parallel prefix circuit: inclusive popcount prefix.  Rank of
-    input i (1-based among valid inputs); 0 where invalid."""
+    input i (1-based among valid inputs); 0 where invalid.  ``valid``
+    is one setup ``(n,)`` or a ``(B, n)`` batch, ranked row by row."""
     valid = np.asarray(valid, dtype=bool)
-    return np.cumsum(valid.astype(np.int64)) * valid
+    return np.cumsum(valid, axis=-1, dtype=np.int64) * valid
 
 
 def butterfly_route(
@@ -47,74 +48,81 @@ def butterfly_route(
 ) -> tuple[np.ndarray, list[np.ndarray]]:
     """Route packets through a reverse butterfly by destination address.
 
-    ``destinations[i]`` is input i's target output (−1 = no packet).
-    Stage t (t = 0..lg n −1) pairs positions differing in bit t and
-    sets each 2×2 switch so every packet moves to a position agreeing
-    with its destination in bits 0..t.  Returns the final positions
-    and the per-stage switch settings (True = crossed).
+    ``destinations[i]`` is input i's target output (−1 = no packet);
+    a ``(B, n)`` array routes B independent setups at once.  Stage t
+    (t = 0..lg n −1) pairs positions differing in bit t and sets each
+    2×2 switch so every packet moves to the member of its pair that
+    agrees with its destination in bit t; after stage t a packet agrees
+    with its destination in bits 0..t.  Each stage moves every packet
+    of every row at once.  Returns the final positions (shaped like
+    ``destinations``) and the per-stage switch settings (True =
+    crossed): one ``(n/2,)`` array per stage, or ``(B, n/2)`` for a
+    batch, indexed by the pair's low position.
 
     Raises :class:`RoutingError` on a conflict (two packets needing the
-    same port) — which never happens for monotone concentration
-    patterns; the tests assert this exhaustively.
+    same port of one pair) or when a packet ends off its destination —
+    neither happens for monotone concentration patterns; the tests
+    assert this exhaustively.  The message names the first conflicting
+    stage and pair (and, for a batch, the row).
     """
     dest = np.asarray(destinations, dtype=np.int64)
-    n = dest.size
+    if dest.ndim not in (1, 2):
+        raise ConfigurationError(
+            f"expected (n,) or (B, n) destinations, got shape {dest.shape}"
+        )
+    n = dest.shape[-1]
     q = ilg(n)
-    # Packet i starts at position i; position_of tracks it per stage.
-    position_of = np.arange(n, dtype=np.int64)
-    occupant = np.full(n, -1, dtype=np.int64)  # position -> packet
+    dest2d = dest.reshape(-1, n)
+    batch = dest2d.shape[0]
+    in_row = "" if dest.ndim == 1 else " in row {}"
+    idx = np.int32 if batch * n < 2**31 else np.int64
+    # One entry per packet, in flat positions row·n + p: ``at`` starts
+    # on the packet's own input, ``want`` is its row's destination.
+    present = dest2d >= 0
+    start = np.flatnonzero(present)
+    at = start.astype(idx)
+    want = dest2d.reshape(-1)[start].astype(idx)
+    want &= n - 1
+    want |= at & ~idx(n - 1)
+    holder = np.empty(batch * n, dtype=idx)
+    packet = np.arange(at.size, dtype=idx)
     settings: list[np.ndarray] = []
 
     for t in range(q):
-        bit = 1 << t
-        stage_setting = np.zeros(n // 2, dtype=bool)
-        occupant[:] = -1
-        for i in range(n):
-            if dest[i] >= 0:
-                occupant[position_of[i]] = i
-        new_position = position_of.copy()
-        pair_index = 0
-        for p in range(n):
-            if p & bit:
-                continue  # handle each pair once, from its low member
-            lo, hi = p, p | bit
-            # Each packet must move to the member of the pair matching
-            # its destination's bit t.
-            want_hi = []
-            want_lo = []
-            for packet in (occupant[lo], occupant[hi]):
-                if packet < 0:
-                    continue
-                if dest[packet] & bit:
-                    want_hi.append(packet)
-                else:
-                    want_lo.append(packet)
-            if len(want_hi) > 1 or len(want_lo) > 1:
-                raise RoutingError(
-                    f"butterfly conflict at stage {t}, pair ({lo},{hi})"
-                )
-            crossed = bool(
-                (want_hi and position_of[want_hi[0]] == lo)
-                or (want_lo and position_of[want_lo[0]] == hi)
+        bit = idx(1 << t)
+        crossed = (at ^ want) & bit
+        at ^= crossed  # to the pair member that agrees in bit t
+        holder[at] = packet
+        clash = holder[at] != packet  # two packets on one member
+        if clash.any():
+            row, lo = divmod(int((at[clash] & ~bit).min()), n)
+            raise RoutingError(
+                f"butterfly conflict at stage {t}, pair ({lo},{lo | int(bit)})"
+                + in_row.format(row)
             )
-            for packet in want_hi:
-                new_position[packet] = hi
-            for packet in want_lo:
-                new_position[packet] = lo
-            stage_setting[pair_index] = crossed
-            pair_index += 1
-        position_of = new_position
-        settings.append(stage_setting)
+        # A pair is crossed when a packet changed member in it.
+        moved = np.zeros(batch * n, dtype=bool)
+        moved[at[crossed != 0] & ~bit] = True
+        stage = moved.reshape(batch, n >> (t + 1), 2, 1 << t)[:, :, 0]
+        settings.append(stage.reshape(dest.shape[:-1] + (n // 2,)))
 
-    final = np.full(n, -1, dtype=np.int64)
-    for i in range(n):
-        if dest[i] >= 0:
-            if position_of[i] != dest[i]:
-                raise RoutingError(
-                    f"packet {i} ended at {position_of[i]}, wanted {dest[i]}"
-                )
-            final[i] = position_of[i]
-    return final, settings
+    final = np.full(batch * n, -1, dtype=np.int64)
+    final[start] = at & (n - 1)
+    final = final.reshape(batch, n)
+    astray = present & (final != dest2d)
+    if astray.any():
+        row, i = np.argwhere(astray)[0].tolist()
+        raise RoutingError(
+            f"packet {i} ended at {final[row, i]}, wanted {dest2d[row, i]}"
+            + in_row.format(row)
+        )
+    return final.reshape(dest.shape), settings
+
+
+def _destinations(valid: np.ndarray) -> np.ndarray:
+    """Butterfly destination of every input: its rank − 1, or −1 when
+    it is invalid (rows of a batch independently)."""
+    return np.where(valid, prefix_ranks(valid) - 1, -1)
 
 
 class PrefixButterflyHyperconcentrator(ConcentratorSwitch):
@@ -145,24 +153,26 @@ class PrefixButterflyHyperconcentrator(ConcentratorSwitch):
 
     def setup(self, valid: np.ndarray) -> Routing:
         valid = self._check_valid(valid)
-        ranks = prefix_ranks(valid)
-        destinations = np.where(valid, ranks - 1, -1)
-        if self.n == 1:
-            routing = np.where(valid, 0, -1).astype(np.int64)
-            self._last_settings = []
-        else:
-            routing, settings = butterfly_route(destinations)
-            self._last_settings = settings
+        routing, self._last_settings = butterfly_route(_destinations(valid))
         return Routing(
             n_inputs=self.n, n_outputs=self.n, valid=valid, input_to_output=routing
         )
 
+    def scalar_routing(self, valid: np.ndarray) -> np.ndarray:
+        """The butterfly oracle over a ``(B, n)`` batch: one
+        :func:`butterfly_route` call simulates every row's stages, so
+        row ``i`` equals ``setup(valid[i]).input_to_output``.  It ranks
+        with its own :func:`prefix_ranks`, never the engine's
+        :func:`~repro.engine.batch.hyperconcentrate_batch`, so it stays
+        an independent check of :meth:`_setup_batch`."""
+        return butterfly_route(_destinations(self._check_valid_batch(valid)))[0]
+
     def _setup_batch(self, valid: np.ndarray) -> BatchRouting:
         """Vectorized setup: destinations of a concentration pattern are
         monotone, so the butterfly always realises ``rank − 1`` exactly
-        (the scalar path proves it per trial and stays the oracle).
-        Batch setups do not record per-trial switch settings; call
-        :meth:`setup` when :meth:`switch_settings` is needed."""
+        (the butterfly simulation proves it per trial and stays the
+        oracle).  Batch setups do not record per-trial switch settings;
+        call :meth:`setup` when :meth:`switch_settings` is needed."""
         return BatchRouting(
             n_inputs=self.n,
             n_outputs=self.n,

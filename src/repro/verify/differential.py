@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.errors import ReproError
 from repro.gates.evaluate import evaluate
 from repro.gates.netlist import Circuit
 
@@ -113,17 +114,38 @@ def scalar_parity_failures(
     switch, valid: np.ndarray, batch_routing: np.ndarray, indices
 ) -> list[tuple[int, str]]:
     """Rows of ``valid`` (restricted to ``indices``) where the scalar
-    ``setup`` oracle disagrees with the batched routing.
+    ``setup`` oracle disagrees with the batched routing, or raises.
 
     The oracle runs once over all picked rows, through
     :meth:`~repro.switches.base.ConcentratorSwitch.scalar_routing`, whose
     row ``i`` is ``setup(valid[i]).input_to_output``.  The oracle rows
     are not wrapped in :class:`~repro.switches.base.Routing`; each is
     compared entry by entry with the batch routing, whose paths the
-    contract check has already validated."""
+    contract check has already validated.  When the oracle raises, the
+    rows are rerun one at a time, so every raising row is named and the
+    others are still compared."""
     indices = np.asarray(indices, dtype=np.intp)
-    expected = switch.scalar_routing(valid[indices])
     got = np.asarray(batch_routing)[indices]
+    try:
+        expected = switch.scalar_routing(valid[indices])
+    except ReproError:
+        pass
+    else:
+        return _divergences(expected, got, indices)
+    failures: list[tuple[int, str]] = []
+    for row, index in enumerate(indices.tolist()):
+        try:
+            expected = switch.scalar_routing(valid[index : index + 1])
+        except ReproError as exc:
+            failures.append((index, f"scalar setup raised {exc!r}"))
+        else:
+            failures += _divergences(expected, got[row : row + 1], indices[row : row + 1])
+    return failures
+
+
+def _divergences(
+    expected: np.ndarray, got: np.ndarray, indices: np.ndarray
+) -> list[tuple[int, str]]:
     failures: list[tuple[int, str]] = []
     for row in np.flatnonzero((expected != got).any(axis=1)):
         bad = np.flatnonzero(expected[row] != got[row])

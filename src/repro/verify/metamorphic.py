@@ -15,8 +15,12 @@ they need no oracle and hold for every (n, m, α) design:
   valid bits alone, and permuting or replacing the *invalid* entries
   (all ``None``) changes nothing.
 
-The first two relations run as batch rows: every permuted and grown
-variant of a block of patterns goes through one ``setup_batch``.
+Every relation runs as batch rows.  The first two send every permuted
+and grown variant of a block of patterns through one ``setup_batch``.
+Payload independence routes the block's rows twice, once per payload
+family (the names ``"a{j}"`` and the numbers ``j``), each time in one
+``route_rows`` call: the scalar oracle routes every row at once, and
+the payloads still travel row by row as Python objects.
 """
 
 from __future__ import annotations
@@ -83,13 +87,18 @@ def metamorphic_failures(
                 f"{before} -> {after}"
             )
 
-    # -- payload independence ------------------------------------------
-    for i, row in enumerate(valid.tolist()):
-        slots_a = [s is not None for s in switch.route(
-            [f"a{j}" if v else None for j, v in enumerate(row)])]
-        slots_b = [s is not None for s in switch.route(
-            [j if v else None for j, v in enumerate(row)])]
-        if slots_a != slots_b:
+    # -- payload independence: one route_rows call per payload family --
+    names = np.array([f"a{j}" for j in range(n)], dtype=object)
+    numbers = np.arange(n).astype(object)
+    # One byte per output slot, so each family's routed payload lists
+    # are freed before the next family is routed.
+    filled = [
+        [bytes(slot is not None for slot in out)
+         for out in switch.route_rows(np.where(valid, payload, None).tolist())]
+        for payload in (names, numbers)
+    ]
+    for i, (a, b) in enumerate(zip(*filled)):
+        if a != b:
             failures[i].append(
                 "route() filled different output slots for different payloads"
             )
