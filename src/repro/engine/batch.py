@@ -143,6 +143,14 @@ def _rank_word(width: int) -> np.dtype | None:
     return None
 
 
+#: ``0x01…01`` in each rank word: times a word of 0/1 bytes, it puts
+#: the running byte sum in every byte (see :func:`_word_ranks`).
+_ONES = {
+    np.dtype(word): word(int.from_bytes(b"\x01" * np.dtype(word).itemsize, "little"))
+    for word in (np.uint32, np.uint64)
+}
+
+
 def _word_ranks(grp: np.ndarray, n_chips: int, width: int, word: np.dtype) -> np.ndarray:
     """Inclusive per-chip popcount prefix of ``grp``'s rows, in place.
 
@@ -155,7 +163,7 @@ def _word_ranks(grp: np.ndarray, n_chips: int, width: int, word: np.dtype) -> np
     word's last byte (its running total) to every byte.  No byte lane
     carries into the next, because a rank is at most width ≤ 255.
     """
-    ones = word.type(int.from_bytes(b"\x01" * word.itemsize, "little"))
+    ones = _ONES[word]
     words = grp.view(word).reshape(grp.shape[0], n_chips, width // word.itemsize)
     words *= ones
     if words.shape[2] > 1:
@@ -379,6 +387,57 @@ def run_plan(plan: StagePlan, valid: np.ndarray) -> np.ndarray:
     return final
 
 
+def _walk_row(plan: StagePlan, row: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`_run_plan_sparse_flat` for one ``(n,)`` row, without the
+    batch bookkeeping: returns ``(inputs, pos)``, the valid inputs in
+    wire order and each one's final flat position.
+
+    The same compiled tables drive the same steps — gather through the
+    layer's ``entry``, mark the occupied slots, rank each message
+    among its chip's valid wires, move it to the chip's first slot plus
+    rank − 1 — on plain ``(n,)`` arrays: no row index, no flat (trial,
+    slot) offsets and no int32/int64 choice, which at one row cost more
+    than the walk.  The ``engine.run_plan.seconds`` and
+    ``engine.stage.seconds`` histograms get the batch walker's
+    observations, one per call and one per layer; a registry with
+    ``detail_spans`` takes the batch walker for its spans instead.
+    """
+    steps, finish = _compile_steps(plan)
+    reg = obs.get_registry()
+    timers = _walk_timers(reg) if reg.enabled else None
+    started = perf_counter()
+    inputs = row.nonzero()[0]
+    coord = inputs
+    slots = np.zeros(row.shape[0], dtype=np.uint8)
+    for entry, n_chips, width, rank_dt, word, mask, _flat in steps:
+        layer_started = perf_counter()
+        coord = entry[coord]  # int32: this layer's chip-major slot
+        slots[:] = 0
+        slots[coord] = 1
+        if word is not None and width == word.itemsize:
+            words = slots.view(word)  # one word per chip
+            words *= _ONES[word]
+            rank = slots[coord]
+        elif word is not None:
+            rank = _word_ranks(slots[None], n_chips, width, word)[0][coord]
+        else:
+            ranks = np.cumsum(slots.reshape(n_chips, width), axis=1, dtype=rank_dt)
+            rank = ranks.reshape(-1)[coord]
+        if mask is not None:
+            coord &= mask
+        else:
+            coord //= np.int32(width)
+            coord *= np.int32(width)
+        coord -= np.int32(1)
+        coord += rank
+        if timers is not None:
+            timers.stage.observe(perf_counter() - layer_started)
+    pos = coord if finish is None else finish[coord]
+    if timers is not None:
+        timers.plan.observe(perf_counter() - started)
+    return inputs, pos
+
+
 def concentrate_plan_batch(
     plan: StagePlan, valid: np.ndarray, m: int
 ) -> BatchRouting:
@@ -387,7 +446,21 @@ def concentrate_plan_batch(
     else −1 (and −1 for every invalid input) — the fused batched form of
     ``np.where(valid & (final < m), final, -1)``.  The routing is int32
     (every value is in [−1, m)).  The same walk's final positions become
-    the result's :attr:`BatchRouting.occupancy`."""
+    the result's :attr:`BatchRouting.occupancy`.
+
+    A single row (``B == 1``, as a flow simulator's cycle sends) takes
+    :func:`_walk_row`; every other batch the sparse batch walker."""
+    if valid.shape[0] == 1 and not obs.get_registry().detail_spans:
+        inputs, pos = _walk_row(plan, valid[0])
+        routing = np.full(valid.shape, -1, dtype=np.int32)
+        routing[0, inputs] = np.where(pos < m, pos, np.int32(-1))
+        return BatchRouting(
+            n_inputs=valid.shape[1],
+            n_outputs=m,
+            valid=valid,
+            input_to_output=routing,
+            carried=(np.zeros(inputs.size, dtype=np.int32), pos),
+        )
     flat_idx, rows, pos = _run_plan_sparse_flat(plan, valid)
     routing = np.full(valid.shape, -1, dtype=np.int32)
     routing.reshape(-1)[flat_idx] = np.where(pos < m, pos, np.int32(-1))
@@ -490,7 +563,25 @@ def prefix_ranks_batch(valid: np.ndarray) -> np.ndarray:
 def hyperconcentrate_batch(valid: np.ndarray) -> np.ndarray:
     """Batched hyperconcentrator routing: in each trial the t-th valid
     input gets output t; invalid inputs get −1."""
-    return np.where(valid, prefix_ranks_batch(valid) - 1, -1)
+    return perfect_concentrate_batch(valid, valid.shape[1])
+
+
+def perfect_concentrate_batch(valid: np.ndarray, m: int) -> np.ndarray:
+    """Batched perfect n-to-m routing of a ``(B, n)`` bool batch: in
+    each trial the t-th valid input gets output t − 1 while t ≤ ``m``;
+    every other input gets −1 (int64).  Rows up to 255 wide rank in
+    uint8, a plain running sum of the bool bytes (no cast in the
+    accumulate); the routing is ``rank · kept − 1``."""
+    valid = np.asarray(valid, dtype=bool)
+    if valid.shape[1] <= 255:
+        ranks = np.add.accumulate(valid.view(np.uint8), axis=1)
+    else:
+        ranks = np.cumsum(valid, axis=1, dtype=np.int64)
+    kept = ranks <= m
+    kept &= valid
+    routing = np.multiply(ranks, kept, dtype=np.int64)
+    routing -= 1
+    return routing
 
 
 def nearsortedness_batch(bits: np.ndarray) -> np.ndarray:

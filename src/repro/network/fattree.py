@@ -108,9 +108,17 @@ class FatTree:
         self._switch_cache: dict[tuple[int, int], ConcentratorSwitch] = {}
         self._leaf_ids = np.arange(self.leaves, dtype=np.int64)
         # bit_length of every src ^ dst: the LCA level of any leaf pair.
-        self._lca_of_xor = np.array(
-            [x.bit_length() for x in range(self.leaves)], dtype=np.int64
+        # An idle leaf (dst −1) gives src ^ −1 = −src − 1, which indexes
+        # the −1 tail: it never rises and never survives.
+        self._level_of = np.array(
+            [x.bit_length() for x in range(self.leaves)] + [-1] * self.leaves,
+            dtype=np.int64,
         )
+        # (level, capacity, subtree width) of every level whose up-link
+        # can be oversubscribed.
+        self._ascent = [
+            (d, cap, 1 << d) for d, cap in self.capacity.items() if cap < 1 << d
+        ]
 
     def _switch(self, n: int, m: int) -> ConcentratorSwitch:
         key = (n, m)
@@ -166,25 +174,44 @@ class FatTree:
             raise ConfigurationError(
                 f"bad destination {int(dst[bad.argmax()])}"
             )
-        stats = FatTreeStats(offered=int(np.count_nonzero(live)))
-        # Messages whose LCA is at level d leave the up path there.
-        lca = self._lca_of_xor[np.where(live, self._leaf_ids ^ dst, 0)]
-        for d in range(1, self.height):
-            cap = self.capacity[d]
-            width = 1 << d  # wires up from one level-d subtree's leaves
-            if cap >= width:
+        survivors, dropped = self.ascend(dst)
+        return (
+            FatTreeStats(
+                offered=int(np.count_nonzero(live)),
+                delivered=int(np.count_nonzero(survivors)),
+                dropped_per_level=dropped,
+            ),
+            survivors,
+        )
+
+    def ascend(self, dst: np.ndarray) -> tuple[np.ndarray, dict[int, int]]:
+        """The ascent of :meth:`route_round_detailed` for a ``dst`` the
+        caller has already checked (shape ``(leaves,)``, values in
+        [−1, leaves)): returns the survivor mask and the messages
+        dropped per level (levels that dropped none are absent).
+
+        Each message carries its LCA level (−1 once idle or dropped);
+        at level d the messages above d rise, every level-d subtree
+        with more of them than its capacity sends its rising row
+        through the concentrator, and the row's losers drop to −1.
+        """
+        up = self._level_of[self._leaf_ids ^ dst]
+        dropped: dict[int, int] = {}
+        for d, cap, width in self._ascent:
+            rising = (up > d).reshape(-1, width)
+            counts = rising.sum(axis=1)
+            if counts.max() <= cap:
                 continue
-            rising = (live & (lca > d)).reshape(-1, width)
-            over = rising.sum(axis=1) > cap
-            if not over.any():
-                continue
+            over = counts > cap
             rows = rising[over]
             routing = self._switch(width, cap).setup_batch(rows)
             lost = rows & (routing.input_to_output < 0)
-            live.reshape(-1, width)[over] &= ~lost
-            stats.dropped_per_level[d] = int(np.count_nonzero(lost))
-        stats.delivered = int(np.count_nonzero(live))
-        return stats, live
+            subtrees = up.reshape(-1, width)
+            level = subtrees[over]
+            level[lost] = -1
+            subtrees[over] = level
+            dropped[d] = int(np.count_nonzero(lost))
+        return up >= 0, dropped
 
 
 def universal_capacity(height: int, base: int = 2) -> Callable[[int], int]:

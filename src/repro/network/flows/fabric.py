@@ -39,7 +39,7 @@ Four stages cover the head-to-head study:
   is its packet interface).
 * :class:`FatTreeFabric` — the binary fat-tree up-path of
   :mod:`repro.network.fattree`, survivors per cycle via
-  :meth:`~repro.network.fattree.FatTree.route_round_detailed`.
+  :meth:`~repro.network.fattree.FatTree.ascend`.
 * :class:`RotorFabric` — a rotor/optical round-robin partition
   baseline: each cycle port i is wired to one destination; a cell
   whose destination is not currently wired waits (blocked), one whose
@@ -67,8 +67,10 @@ IDLE, DELIVERED, REJECTED, FAULTED, BLOCKED, ABSORBED = range(6)
 
 def _fates(occupied: np.ndarray, won: np.ndarray, lost: int) -> np.ndarray:
     """``DELIVERED`` where an occupied port ``won``, ``lost`` where it
-    did not, ``IDLE`` elsewhere."""
-    return np.where(occupied, np.where(won, DELIVERED, lost), IDLE).astype(np.int8)
+    did not, ``IDLE`` (0) elsewhere."""
+    fate = occupied.view(np.int8) * np.int8(lost)
+    fate[won & occupied] = DELIVERED
+    return fate
 
 
 class FabricStage(ABC):
@@ -199,9 +201,11 @@ class KnockoutFabric(FabricStage):
             )
         # Up to this many contenders the picker routes every one.
         self._capacity = self._picker.spec.guaranteed_capacity
-        # Per-egress FIFOs of flow ids, and their total length.
+        # Per-egress FIFOs of flow ids, their total length and the
+        # egresses whose FIFO is not empty.
         self._fifos: list[deque[int]] = [deque() for _ in range(n)]
         self._held = 0
+        self._busy: set[int] = set()
         self.knocked_out = 0
         self.overflowed = 0
         # (registry, its flows.fifo_depth series): resolved once per
@@ -227,6 +231,7 @@ class KnockoutFabric(FabricStage):
         for fifo in self._fifos:
             fifo.clear()
         self._held = 0
+        self._busy.clear()
         return held
 
     def step(
@@ -244,34 +249,43 @@ class KnockoutFabric(FabricStage):
             io = self._picker.setup_batch(rows).input_to_output
             lost = (rows & (io < 0)).any(axis=0)
             won = occupied & ~lost
-            self.knocked_out += int(lost.sum())
-        fate = _fates(occupied, won, REJECTED)
+            self.knocked_out += int(np.count_nonzero(lost))
+        fate = occupied.view(np.int8) * np.int8(REJECTED)
+        fate[won] = ABSORBED
         # Winners queue in port order; a full FIFO bounces the arrival
         # before this cycle's drain frees a slot.
         fresh: dict[int, int] = {}  # egress -> port whose cell opened its FIFO
+        bounced: list[int] = []
+        fifos, busy, depth = self._fifos, self._busy, self.fifo_depth
         flow_ids, dsts = flow.tolist(), dst.tolist()
-        for port in np.flatnonzero(won).tolist():
-            fifo = self._fifos[dsts[port]]
-            if len(fifo) >= self.fifo_depth:
-                fate[port] = REJECTED
-                self.overflowed += 1
+        queued = 0
+        for port in won.nonzero()[0].tolist():
+            egress = dsts[port]
+            fifo = fifos[egress]
+            if len(fifo) >= depth:
+                bounced.append(port)
                 continue
             if not fifo:
-                fresh[dsts[port]] = port
+                fresh[egress] = port
+                busy.add(egress)
             fifo.append(flow_ids[port])
-            fate[port] = ABSORBED
-            self._held += 1
-        # Every non-empty FIFO transmits one cell: this cycle's own
-        # cell if it opened the FIFO, else one that surfaces.
+            queued += 1
+        if bounced:
+            fate[bounced] = REJECTED
+            self.overflowed += len(bounced)
+        # Every non-empty FIFO transmits one cell, in egress order: this
+        # cycle's own cell if it opened the FIFO, else one that surfaces.
         surfaced: list[int] = []
-        for egress, fifo in enumerate(self._fifos):
-            if fifo:
-                fid = fifo.popleft()
-                self._held -= 1
-                if egress in fresh:
-                    fate[fresh[egress]] = DELIVERED
-                else:
-                    surfaced.append(fid)
+        self._held += queued - len(busy)
+        for egress in sorted(busy):
+            fifo = fifos[egress]
+            fid = fifo.popleft()
+            if not fifo:
+                busy.discard(egress)
+            if egress not in fresh:
+                surfaced.append(fid)
+        if fresh:
+            fate[list(fresh.values())] = DELIVERED
         # The occupancy curve is the knockout story (winners queue,
         # losers knock out) — one sample per fabric cycle.
         reg = obs.get_registry()
@@ -318,7 +332,8 @@ class FatTreeFabric(FabricStage):
         self, flow: np.ndarray, dst: np.ndarray
     ) -> tuple[np.ndarray, list[int]]:
         occupied = self._check(flow, dst)
-        _, survivors = self.tree.route_round_detailed(dst)
+        # _check made every check route_round_detailed would repeat.
+        survivors, _ = self.tree.ascend(dst)
         return _fates(occupied, survivors, REJECTED), []
 
 

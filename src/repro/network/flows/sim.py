@@ -4,12 +4,16 @@
 :mod:`repro.network.flows.workload`) arrive at ToR-like ingress ports,
 each port offers at most one cell per fabric cycle, and a
 :class:`~repro.network.flows.fabric.FabricStage` decides each cell's
-fate.  Time is event-driven — the heap-based
-:class:`~repro.network.flows.events.EventQueue` holds flow arrivals at
-their (real-valued) arrival times and fabric cycles at integer times,
-and cycles are only scheduled while there is work: an idle fabric
-consumes no events, so a sparse workload is cheap to simulate however
-long its horizon.
+fate.  Time is event-driven: flow arrivals happen at their
+(real-valued) arrival times and fabric cycles at integer times, and
+cycles are only scheduled while there is work: an idle fabric consumes
+no events, so a sparse workload is cheap to simulate however long its
+horizon.  The events pop in the order a
+:class:`~repro.network.flows.events.EventQueue` would pop them — time
+order, arrivals before a cycle at the same time, arrivals in flow-id
+order among themselves — but the loop merges the flow list, sorted
+once by arrival, with the one pending cycle instead of pushing every
+arrival onto a heap.
 
 Congestion control is TCP-ish per flow:
 
@@ -40,7 +44,10 @@ one-cell flow arriving at 0 and delivered in cycle 0 has FCT 1.
 Per-flow state is flat: one list per field, indexed by flow id, so
 the per-cycle loop touches list slots rather than objects, and the
 fabric sees each cycle as two per-port arrays (flow id and
-destination) and answers with an ``int8`` fate per port.
+destination) and answers with an ``int8`` fate per port.  Each port
+also counts its flows by destination, so under a wired fabric (a
+rotor) a port with no flow for its wired destination or itself is
+skipped without scanning its queue.
 
 Everything here is a pure function of (flows, stage): the simulator
 itself draws no randomness, which is what makes same-seed runs
@@ -52,14 +59,14 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
-from math import ceil, isnan
+from math import ceil, floor, isfinite
 from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
 from repro import obs
 from repro.errors import ConfigurationError
-from repro.network.flows.events import EventQueue, SimClock
+from repro.network.flows.events import SimClock
 from repro.network.flows.fabric import (
     ABSORBED,
     BLOCKED,
@@ -122,13 +129,12 @@ class FlowSimResult:
     def fct_percentiles(
         self, qs: Sequence[float] = (50.0, 90.0, 99.0, 99.9)
     ) -> dict[str, float]:
-        """FCT percentiles over completed flows (NaN-safe)."""
-        finished = self.fct[~np.isnan(self.fct)]
-        if not finished.size:
+        """FCT percentiles over completed flows (NaN-safe), equal bit
+        for bit to ``np.percentile`` (see :func:`percentile_sorted`)."""
+        finished = sorted(x for x in self.fct.tolist() if x == x)
+        if not finished:
             return {f"p{q:g}": float("nan") for q in qs}
-        return {
-            f"p{q:g}": float(np.percentile(finished, q)) for q in qs
-        }
+        return {f"p{q:g}": percentile_sorted(finished, q) for q in qs}
 
     def as_dict(self) -> dict:
         out = {
@@ -146,6 +152,30 @@ class FlowSimResult:
         }
         out.update(self.fct_percentiles())
         return out
+
+
+def percentile_sorted(values: Sequence[float], q: float) -> float:
+    """The ``q``-th percentile of the ascending ``values``, computed as
+    ``np.percentile(values, q)`` computes it with its default
+    ``linear`` method: virtual index ``(len − 1) · (q / 100)``, its
+    floor and the next index (the last value at or past the end), and
+    numpy's two-sided lerp, which counts back from the upper value
+    when the weight is at least one half.  Same float operations, same
+    order, hence the same bits — without the ``numpy.ma`` import that
+    ``np.percentile`` pays on its first call."""
+    if not 0.0 <= q <= 100.0:
+        raise ValueError("Percentiles must be in the range [0, 100]")
+    last = len(values) - 1
+    virtual = last * (q / 100)
+    if virtual >= last:
+        return float(values[last])
+    below = floor(virtual)
+    weight = virtual - below
+    low, high = values[below], values[below + 1]
+    diff = high - low
+    if weight >= 0.5:
+        return float(high - diff * (1 - weight))
+    return float(low + diff * weight)
 
 
 class _LazyCounter:
@@ -201,7 +231,12 @@ class FlowSim:
     after every fabric cycle — the conservation property suite hooks in
     here via :meth:`accounting`.  ``max_cycles`` caps the number of
     fabric cycles (unresolved flows keep NaN FCTs); the default runs
-    until the backlog drains.
+    until the backlog drains.  ``clock`` advances to each event's time
+    as it is handled; no event may lie behind its starting time.
+
+    Every flow must be able to finish: construction rejects a flow
+    with fewer than one cell, a destination outside the fabric or an
+    arrival that is negative or not finite.
     """
 
     stage: FabricStage
@@ -211,36 +246,58 @@ class FlowSim:
     max_cycles: int | None = None
     checkpoint: Callable[["FlowSim", int], None] | None = None
 
-    _queue: EventQueue = field(init=False, repr=False)
+    _clock: SimClock = field(init=False, repr=False)
     _ports: list[deque[int]] = field(init=False, repr=False)
     _in_fabric: int = field(init=False, default=0)
     _arrived_cells: int = field(init=False, default=0)
-    _cycle_scheduled: bool = field(init=False, default=False)
     _metrics: _CycleMetrics | None = field(init=False, default=None, repr=False)
 
     def __post_init__(self) -> None:
-        self._queue = EventQueue(clock=self.clock or SimClock())
+        self._clock = self.clock or SimClock()
+        n = self.stage.n
         for i, spec in enumerate(self.flows):
             if spec.flow_id != i:
                 raise ConfigurationError(
                     f"flow ids must be dense and ordered; slot {i} holds "
                     f"flow {spec.flow_id}"
                 )
-            if not 0 <= spec.src < self.stage.n:
+            if not 0 <= spec.src < n:
                 raise ConfigurationError(
-                    f"flow {i}: src {spec.src} outside fabric of width "
-                    f"{self.stage.n}"
+                    f"flow {i}: src {spec.src} outside fabric of width {n}"
+                )
+            if not 0 <= spec.dst < n:
+                raise ConfigurationError(
+                    f"flow {i}: dst {spec.dst} outside fabric of width {n}"
+                )
+            if spec.size_cells < 1:
+                raise ConfigurationError(
+                    f"flow {i}: size_cells {spec.size_cells} < 1; a flow "
+                    f"needs at least one cell to finish"
+                )
+            if not (isfinite(spec.arrival) and spec.arrival >= 0):
+                raise ConfigurationError(
+                    f"flow {i}: arrival {spec.arrival} must be finite and >= 0"
                 )
         count = len(self.flows)
+        self._src = [spec.src for spec in self.flows]
         self._dst = [spec.dst for spec in self.flows]
         self._size = [spec.size_cells for spec in self.flows]
+        self._arrival = [spec.arrival for spec in self.flows]
+        # Arrival order: by time, ties in flow-id order (a stable sort).
+        self._order = sorted(range(count), key=self._arrival.__getitem__)
+        # Destination lookup for a per-port flow-id row (−1 → −1).
+        self._dst_table = np.array(self._dst + [-1], dtype=np.int64)
         self._next_index = [0] * count
         self._delivered = [0] * count
         self._dropped = [0] * count
         self._cwnd = [1.0] * count
         self._next_ok = [0.0] * count
         self._finish = [float("nan")] * count
-        self._ports = [deque() for _ in range(self.stage.n)]
+        self._ports = [deque() for _ in range(n)]
+        # Per port: destination -> how many of its queued flows go there.
+        self._port_dsts: list[dict[int, int]] = [{} for _ in range(n)]
+        self._queued = 0  # flows in all port queues
+        self._seen = 0  # 1 + the largest flow id that has arrived
 
     @property
     def _states(self) -> list[FlowStatus]:
@@ -274,182 +331,250 @@ class FlowSim:
 
     # -- event loop -----------------------------------------------------
 
-    def _schedule_cycle(self) -> None:
-        if not self._cycle_scheduled:
-            when = ceil(self._queue.clock.now)
-            self._queue.push(float(when), "cycle")
-            self._cycle_scheduled = True
-
-    def _work_pending(self) -> bool:
-        return self._in_fabric > 0 or any(self._ports)
-
     def run(self) -> FlowSimResult:
+        """Handle the events in time order until no work is left (or
+        ``max_cycles`` cycles ran): each arrival queues its flow at its
+        ingress port and, when no cycle is pending, schedules one at
+        the next integer time; each cycle schedules the next while
+        cells wait at a port or inside the fabric.  Arrivals at or
+        before a pending cycle's time are handled before it."""
         reg = obs.get_registry()
-        counts = {
-            "delivered": 0, "dropped": 0, "blocked": 0, "faulted": 0,
-            "offered": 0,
-        }
-        cycles = 0
+        stage = self.stage
+        clock = self._clock
+        order, arrival = self._order, self._arrival
+        total = len(order)
+        if total and arrival[order[0]] < clock.now:
+            raise ConfigurationError(
+                f"cannot schedule 'arrival' at {arrival[order[0]]} behind "
+                f"the clock ({clock.now})"
+            )
+        ports, port_dsts = self._ports, self._port_dsts
+        srcs, dsts, size = self._src, self._dst, self._size
+        offered = delivered = dropped = blocked = faulted = 0
+        popped = cycles = 0
+        due = 0  # index into ``order`` of the next arrival
+        cycle_at: float | None = None  # time of the pending cycle
         self._metrics = None  # resolved by the first collected cycle
-        with reg.span(
-            "flows.run", fabric=self.stage.name, flows=len(self.flows)
-        ):
-            for spec in self.flows:
-                self._queue.push(spec.arrival, "arrival", spec.flow_id)
-            while self._queue:
-                event = self._queue.pop()
-                if event.kind == "arrival":
-                    spec = self.flows[event.payload]
-                    self._ports[spec.src].append(spec.flow_id)
-                    self._arrived_cells += spec.size_cells
-                    self._schedule_cycle()
-                elif event.kind == "cycle":
-                    self._cycle_scheduled = False
-                    self._run_cycle(event.time, counts, reg)
-                    cycles += 1
-                    if self.checkpoint is not None:
-                        self.checkpoint(self, cycles - 1)
-                    if self.max_cycles is not None and cycles >= self.max_cycles:
+        with reg.span("flows.run", fabric=stage.name, flows=len(self.flows)):
+            while True:
+                while due < total:
+                    fid = order[due]
+                    when = arrival[fid]
+                    if cycle_at is not None and when > cycle_at:
                         break
-                    if self._work_pending():
-                        self._queue.push(event.time + 1.0, "cycle")
-                        self._cycle_scheduled = True
+                    due += 1
+                    clock.advance_to(when)
+                    popped += 1
+                    src, dst = srcs[fid], dsts[fid]
+                    ports[src].append(fid)
+                    here = port_dsts[src]
+                    here[dst] = here.get(dst, 0) + 1
+                    self._queued += 1
+                    self._arrived_cells += size[fid]
+                    if fid >= self._seen:
+                        self._seen = fid + 1
+                    if cycle_at is None:
+                        cycle_at = float(ceil(clock.now))
+                if cycle_at is None:
+                    break
+                clock.advance_to(cycle_at)
+                popped += 1
+                cells = self._run_cycle(cycle_at, reg)
+                offered += cells[0]
+                delivered += cells[1]
+                dropped += cells[2]
+                blocked += cells[3]
+                faulted += cells[4]
+                cycles += 1
+                if self.checkpoint is not None:
+                    self.checkpoint(self, cycles - 1)
+                if self.max_cycles is not None and cycles >= self.max_cycles:
+                    break
+                if self._in_fabric > 0 or self._queued:
+                    cycle_at += 1.0
+                else:
+                    cycle_at = None
             if reg.enabled:
-                reg.counter("flows.cycles", fabric=self.stage.name).inc(cycles)
-                reg.counter("flows.events", fabric=self.stage.name).inc(
-                    self._queue.popped
-                )
+                reg.counter("flows.cycles", fabric=stage.name).inc(cycles)
+                reg.counter("flows.events", fabric=stage.name).inc(popped)
 
         fct = np.array(self._finish, dtype=np.float64)
         completed = int(np.count_nonzero(~np.isnan(fct)))
-        events = (
-            self._queue.popped
-            + counts["delivered"] + counts["dropped"] + counts["blocked"]
-        )
         return FlowSimResult(
-            fabric=self.stage.name,
+            fabric=stage.name,
             flows=len(self.flows),
             completed=completed,
-            offered_cells=counts["offered"],
-            delivered_cells=counts["delivered"],
-            dropped_cells=counts["dropped"],
-            faulted_cells=counts["faulted"],
-            blocked_cells=counts["blocked"],
+            offered_cells=offered,
+            delivered_cells=delivered,
+            dropped_cells=dropped,
+            faulted_cells=faulted,
+            blocked_cells=blocked,
             cycles=cycles,
-            events=events,
+            events=popped + delivered + dropped + blocked,
             fct=fct,
         )
 
-    def _pick(self, now: float) -> tuple[list[int], list[int], list[int]]:
-        """Each port's cell for this cycle: the first eligible flow in
-        round-robin order, which then rotates to the back of the port
-        (a port with no eligible flow is left as it was).  Returns the
-        picking ports and the per-port flow-id and destination rows
-        (−1 where a port sends nothing)."""
-        n = self.stage.n
-        wired = self.stage.wiring()
+    def _retire(self, fid: int, now: float) -> None:
+        """Flow ``fid``'s last cell resolved at ``now``: record its FCT
+        and take it off its port."""
+        self._finish[fid] = now - self._arrival[fid] + 1.0
+        src = self._src[fid]
+        try:
+            self._ports[src].remove(fid)
+        except ValueError:
+            return  # already retired
+        self._queued -= 1
+        here, dst = self._port_dsts[src], self._dst[fid]
+        if here[dst] == 1:
+            del here[dst]
+        else:
+            here[dst] -= 1
+
+    def _run_cycle(self, now: float, reg) -> tuple[int, int, int, int, int]:
+        """One fabric cycle: pick each port's cell, step the stage and
+        credit every outcome.  Returns the cycle's (offered, delivered,
+        dropped, blocked, faulted) cell counts; ``dropped`` counts only
+        cells lost for good (backpressure off)."""
+        stage = self.stage
         next_ok, next_index, size = self._next_ok, self._next_index, self._size
         dsts = self._dst
+
+        # Pick: each port's first eligible flow in round-robin order,
+        # which then rotates to the back of the port (a port with no
+        # eligible flow is left as it was).
+        wired = stage.wiring()
         picked: list[int] = []
-        flow_row = [-1] * n
-        dst_row = [-1] * n
+        flow_row = [-1] * stage.n
         for i, port in enumerate(self._ports):
-            for k, fid in enumerate(port):
-                if next_ok[fid] <= now and next_index[fid] < size[fid] and (
-                    wired is None or dsts[fid] == i or dsts[fid] == wired[i]
-                ):
-                    break
-            else:
+            if not port:
                 continue
+            if wired is None:
+                fid = port[0]
+                if next_ok[fid] <= now and next_index[fid] < size[fid]:
+                    port.rotate(-1)
+                    picked.append(i)
+                    flow_row[i] = fid
+                    continue
+                for k, fid in enumerate(port):
+                    if next_ok[fid] <= now and next_index[fid] < size[fid]:
+                        break
+                else:
+                    continue
+            else:
+                # Only flows bound for the wired destination or the
+                # port itself are eligible; skip a port that has none.
+                w, here = wired[i], self._port_dsts[i]
+                if w not in here and i not in here:
+                    continue
+                for k, fid in enumerate(port):
+                    if (
+                        next_ok[fid] <= now and next_index[fid] < size[fid]
+                        and (dsts[fid] == i or dsts[fid] == w)
+                    ):
+                        break
+                else:
+                    continue
             port.rotate(-1 - k)
             picked.append(i)
             flow_row[i] = fid
-            dst_row[i] = dsts[fid]
-        return picked, flow_row, dst_row
 
-    def _resolve(self, fid: int, now: float) -> None:
-        if (
-            self._delivered[fid] + self._dropped[fid] >= self._size[fid]
-            and isnan(self._finish[fid])
-        ):
-            spec = self.flows[fid]
-            self._finish[fid] = now - spec.arrival + 1.0
-            try:
-                self._ports[spec.src].remove(fid)
-            except ValueError:
-                pass  # already retired
-
-    def _deliver(self, fid: int, now: float) -> None:
-        self._delivered[fid] += 1
-        self._cwnd[fid] = min(CWND_MAX, self._cwnd[fid] + 1.0)
-        self._resolve(fid, now)
-
-    def _run_cycle(self, now: float, counts: dict[str, int], reg) -> None:
-        picked, flow_row, dst_row = self._pick(now)
-        counts["offered"] += len(picked)
-        fate, surfaced = self.stage.step(np.array(flow_row), np.array(dst_row))
+        flow = np.array(flow_row, dtype=np.int64)
+        fate, surfaced = stage.step(flow, self._dst_table[flow])
         fates = fate.tolist()
 
+        delivered_, dropped_, cwnd = self._delivered, self._dropped, self._cwnd
+        finish = self._finish
         # Cells the stage buffered in earlier cycles are credited first:
         # a flow's surfaced cell grows its window before the same
-        # cycle's loss halves it.
+        # cycle's loss halves it.  (``x != x`` is isnan: the flow has
+        # no FCT yet.)
         for fid in surfaced:
-            self._in_fabric -= 1
-            self._deliver(fid, now)
+            got = delivered_[fid] = delivered_[fid] + 1
+            window = cwnd[fid] + 1.0
+            cwnd[fid] = window if window < CWND_MAX else CWND_MAX
+            if got + dropped_[fid] >= size[fid] and finish[fid] != finish[fid]:
+                self._retire(fid, now)
+        in_fabric = self._in_fabric - len(surfaced)
         delivered, lost, faulted, blocked = len(surfaced), 0, 0, 0
+        backpressure = self.backpressure
         for port in picked:
             fid = flow_row[port]
             outcome = fates[port]
             if outcome == DELIVERED:
-                self._next_index[fid] += 1
-                self._deliver(fid, now)
+                next_index[fid] += 1
+                got = delivered_[fid] = delivered_[fid] + 1
+                window = cwnd[fid] + 1.0
+                cwnd[fid] = window if window < CWND_MAX else CWND_MAX
+                if got + dropped_[fid] >= size[fid] and finish[fid] != finish[fid]:
+                    self._retire(fid, now)
                 delivered += 1
             elif outcome == REJECTED or outcome == FAULTED:
                 lost += 1
                 if outcome == FAULTED:
                     faulted += 1
-                if self.backpressure:
+                if backpressure:
                     # Keep the cell; back off harder the smaller the window.
-                    cwnd = max(1.0, self._cwnd[fid] / 2.0)
-                    self._cwnd[fid] = cwnd
-                    self._next_ok[fid] = now + max(1.0, round(BACKOFF_BASE / cwnd))
+                    window = max(1.0, cwnd[fid] / 2.0)
+                    cwnd[fid] = window
+                    next_ok[fid] = now + max(1.0, round(BACKOFF_BASE / window))
                 else:
-                    self._next_index[fid] += 1
-                    self._dropped[fid] += 1
-                    self._resolve(fid, now)
+                    next_index[fid] += 1
+                    gone = dropped_[fid] = dropped_[fid] + 1
+                    if (
+                        delivered_[fid] + gone >= size[fid]
+                        and finish[fid] != finish[fid]
+                    ):
+                        self._retire(fid, now)
             elif outcome == BLOCKED:
                 blocked += 1
             elif outcome == ABSORBED:
                 # The fabric owns the cell now; it surfaces later.
-                self._next_index[fid] += 1
-                self._in_fabric += 1
-        counts["delivered"] += delivered
-        counts["faulted"] += faulted
-        counts["blocked"] += blocked
-        if not self.backpressure:
-            counts["dropped"] += lost
+                next_index[fid] += 1
+                in_fabric += 1
+        self._in_fabric = in_fabric
+        dropped = 0 if backpressure else lost
 
         if reg.enabled:
             metrics = self._metrics
             if metrics is None:
-                metrics = self._metrics = _CycleMetrics(reg, self.stage.name)
+                metrics = self._metrics = _CycleMetrics(reg, stage.name)
             metrics.offered.inc(len(picked))
             metrics.delivered.inc(delivered)
-            if not self.backpressure:
-                metrics.dropped.inc(lost)
+            metrics.dropped.inc(dropped)
             metrics.blocked.inc(blocked)
             metrics.faulted.inc(faulted)
             # Per-cycle timeseries: the shape of congestion over the
             # run, not just its end-of-run totals.  The fabric cycle
             # index is the time axis (deterministic; see
             # repro.obs.timeseries for the decimation contract).
-            metrics.queue_depth.append(self.stage.in_flight(), t=now)
-            metrics.inflight.append(self._in_fabric, t=now)
-            metrics.cwnd_mean.append(
-                sum(self._cwnd) / len(self._cwnd) if self._cwnd else 0.0,
-                t=now,
-            )
+            metrics.queue_depth.append(stage.in_flight(), t=now)
+            metrics.inflight.append(in_fabric, t=now)
+            # The mean is only worth computing for a sample the series
+            # keeps; a decimated one is counted and discarded.
+            series = metrics.cwnd_mean
+            series.append(self._cwnd_mean() if series.due() else 0.0, t=now)
             metrics.delivery.append(delivered, t=now)
-            metrics.drops.append(
-                lost if not self.backpressure else 0, t=now
-            )
+            metrics.drops.append(dropped, t=now)
+        return len(picked), delivered, dropped, blocked, faulted
+
+    def _cwnd_mean(self) -> float:
+        """The mean congestion window over every flow, equal bit for
+        bit to ``sum(cwnd) / len(cwnd)`` on Python ≤ 3.11 (a
+        left-to-right float sum).  Flows at or past ``_seen`` have not
+        arrived, so their windows are all still 1.0: the sum folds
+        them in as one integer when that addition is exact (the 2Sum
+        error term is zero), which makes every step of the one-by-one
+        fold exact too, and falls back to the full sum when not."""
+        cwnd = self._cwnd
+        if not cwnd:
+            return 0.0
+        seen = self._seen
+        ones = len(cwnd) - seen
+        if not ones:
+            return sum(cwnd) / len(cwnd)
+        head = sum(cwnd[:seen]) if seen else 0.0
+        total = head + ones
+        back = total - head
+        if (head - (total - back)) + (ones - back):
+            total = sum(cwnd)
+        return total / len(cwnd)

@@ -62,6 +62,12 @@ class Series:
                 self.stride *= 2
         self.count += 1
 
+    def due(self) -> bool:
+        """Whether the next :meth:`append` keeps its sample; a caller
+        whose value is costly computes it only then (a decimated
+        sample's value is never read)."""
+        return self.count % self.stride == 0
+
     @property
     def last(self) -> float | None:
         return self.points[-1][1] if self.points else None
@@ -109,6 +115,9 @@ class NullSeries:
 
     def append(self, value: float, t: float | None = None) -> None:
         pass
+
+    def due(self) -> bool:
+        return False
 
 
 NULL_SERIES = NullSeries()

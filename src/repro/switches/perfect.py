@@ -9,7 +9,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.core.concentration import ConcentratorSpec
-from repro.engine.batch import BatchRouting, hyperconcentrate_batch
+from repro.engine.batch import BatchRouting, perfect_concentrate_batch
 from repro.errors import ConfigurationError
 from repro.switches.base import ConcentratorSwitch, Routing
 from repro.switches.hyperconcentrator import Hyperconcentrator
@@ -49,10 +49,11 @@ class PerfectConcentrator(ConcentratorSwitch):
         )
 
     def _setup_batch(self, valid: np.ndarray) -> BatchRouting:
-        inner = hyperconcentrate_batch(valid)
-        routing = np.where(inner < self.m, inner, -1)
         return BatchRouting(
-            n_inputs=self.n, n_outputs=self.m, valid=valid, input_to_output=routing
+            n_inputs=self.n,
+            n_outputs=self.m,
+            valid=valid,
+            input_to_output=perfect_concentrate_batch(valid, self.m),
         )
 
     @property
