@@ -15,16 +15,16 @@ Twelve subcommands, one family module each under :mod:`repro.commands`
     python -m repro simulate --switch revsort --n 256 --m 192 --load 0.5
     python -m repro knockout --ports 16 --load 0.9
     python -m repro flows compare --n 16 --duration 60 --seed 3
-    python -m repro obs trace --switch columnsort --n 4096 --out trace.json
-    python -m repro obs export --journal out.jsonl --format prometheus
-    python -m repro obs analyze out.jsonl
+    python -m repro obs export --journal out.jsonl --out metrics.json
+    python -m repro obs analyze out.jsonl --trace-out trace.json
     python -m repro bench run --suite smoke
     python -m repro bench compare --baseline BENCH_TRAJECTORY.jsonl
 
-Long-running commands (``simulate``, ``certify``, ``faults sweep``,
-``compare``, ``flows``, ``bench run``, ``bench compare``) also take
-``--journal`` (stream a ``repro.obs/journal@1`` JSONL event journal),
-``--live`` (terminal progress with rates and ETA), and ``--crash-dir``
+Long-running commands (``simulate``, ``knockout``, ``reproduce``,
+``certify``, ``faults sweep``, ``compare``, ``flows``, ``bench run``,
+``bench compare``) also take
+``--journal`` (stream a ``repro.obs/journal@1`` JSONL event journal,
+the one persisted telemetry artifact) and ``--crash-dir``
 (flight-recorder crash reports on failure) — see the "Live telemetry"
 section of ``docs/observability.md``.  :func:`main` maps the library's
 errors to exit codes: 1 for a violated contract, 2 for a usage or

@@ -5,7 +5,6 @@ from __future__ import annotations
 import argparse
 from collections.abc import Callable
 
-METRICS_HELP = "collect repro.obs metrics and write a JSON snapshot here"
 TABLE_JSON = ("table", "json")
 
 
@@ -37,14 +36,12 @@ def add_flags(
     seed: int | None = None,
     workers: tuple[int, str] | None = None,
     formats: tuple[str, ...] = (),
-    metrics: bool = False,
-    metrics_help: str | None = METRICS_HELP,
     telemetry: bool = False,
 ) -> None:
     """Add the shared flags a command asks for, in this order: ``--seed``
     (default ``seed``), ``--workers`` (``(default, help)``), ``--format``
-    (``formats``, the first is the default), ``--metrics-out`` and the
-    live-telemetry flags ``--journal``/``--live``/``--crash-dir``.  A
+    (``formats``, the first is the default) and the live-telemetry
+    flags ``--journal``/``--crash-dir``.  A
     command whose own flags sit between these calls this more than once,
     so its ``--help`` keeps its order."""
     if seed is not None:
@@ -54,8 +51,6 @@ def add_flags(
         p.add_argument("--workers", type=int, default=default, help=help_text)
     if formats:
         p.add_argument("--format", choices=list(formats), default=formats[0])
-    if metrics:
-        p.add_argument("--metrics-out", default=None, help=metrics_help)
     if telemetry:
         p.add_argument(
             "--journal",
@@ -63,11 +58,6 @@ def add_flags(
             metavar="PATH",
             help="stream a repro.obs/journal@1 JSONL event journal here "
             "(replayable with 'repro obs export --journal')",
-        )
-        p.add_argument(
-            "--live",
-            action="store_true",
-            help="render live progress (phase, items/s, ETA) on stderr",
         )
         p.add_argument(
             "--crash-dir",

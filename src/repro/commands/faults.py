@@ -85,19 +85,18 @@ def cmd_faults_inject(args: argparse.Namespace) -> int:
             "nothing to inject: give --fault specs or --sample COUNT"
         )
 
-    with telemetry_scope(args):
-        report = measure_scenario(
-            switch,
-            scenario,
-            trials=args.trials,
-            seed=args.seed,
-            remap_outputs=args.remap_outputs,
+    report = measure_scenario(
+        switch,
+        scenario,
+        trials=args.trials,
+        seed=args.seed,
+        remap_outputs=args.remap_outputs,
+    )
+    resilience = None
+    if scenario.flaky_pins():
+        resilience = flaky_resilience(
+            switch, scenario, rounds=args.rounds, seed=args.seed
         )
-        resilience = None
-        if scenario.flaky_pins():
-            resilience = flaky_resilience(
-                switch, scenario, rounds=args.rounds, seed=args.seed
-            )
 
     doc = report.as_dict()
     if resilience is not None:
@@ -340,7 +339,7 @@ def register(sub: argparse._SubParsersAction) -> None:
         action="store_true",
         help="route around dead output pads using spare positions",
     )
-    add_flags(p, formats=TABLE_JSON, metrics=True, metrics_help=None)
+    add_flags(p, formats=TABLE_JSON)
     p.set_defaults(func=cmd_faults_inject)
 
     p = faults_sub.add_parser(
@@ -376,7 +375,7 @@ def register(sub: argparse._SubParsersAction) -> None:
         default=None,
         help="directory for degradation certificate JSONs",
     )
-    add_flags(p, formats=TABLE_JSON, metrics=True, metrics_help=None, telemetry=True)
+    add_flags(p, formats=TABLE_JSON, telemetry=True)
     p.set_defaults(func=cmd_faults_sweep)
 
     p = faults_sub.add_parser(

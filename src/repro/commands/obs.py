@@ -1,5 +1,5 @@
-"""Observability: the ``obs`` metric catalog and ``obs trace``,
-``obs export``, ``obs report``, ``obs analyze`` and ``obs slo``
+"""Observability: the ``obs`` metric catalog and ``obs export``,
+``obs report``, ``obs analyze`` and ``obs slo``
 (``docs/observability.md``)."""
 
 from __future__ import annotations
@@ -8,67 +8,23 @@ import argparse
 import sys
 
 from repro import obs
-from repro.commands.common import TABLE_JSON, add_flags, add_geometry, build_switch, emit, json_safe
-from repro.errors import ReproError
+from repro.commands.common import TABLE_JSON, add_flags, emit, json_safe
+from repro.errors import ConfigurationError, ReproError
 
 
 def cmd_obs(args: argparse.Namespace) -> int:
     from repro.analysis.tables import render_table
 
-    if args.demo:
-        from repro.messages.congestion import DropPolicy
-        from repro.network.simulate import SwitchSimulation
-        from repro.network.traffic import BernoulliTraffic
-        from repro.switches.registry import build_switch as build
-
-        with obs.collecting() as registry:
-            switch = build("revsort", n=64, m=48, r=0, s=0, beta=0.75)
-            traffic = BernoulliTraffic(switch.n, p=0.8, seed=0)
-            SwitchSimulation(switch, traffic, DropPolicy(), seed=0).run(rounds=20)
-        snapshot = registry.snapshot()
-        emit(args, snapshot, lambda: print(obs.metrics_markdown(snapshot)))
-        return 0
-
     def show() -> None:
         print(render_table(rows, title="repro.obs metric catalog"))
         print(
             "every span also fills a '<name>.seconds' histogram; "
-            "collect with --metrics-out or --journal on simulate, certify, "
-            "compare, knockout, reproduce, faults sweep, flows and bench"
+            "collect with --journal on simulate, certify, compare, "
+            "knockout, reproduce, faults sweep, flows and bench"
         )
 
     rows = obs.catalog_rows()
     emit(args, rows, show)
-    return 0
-
-
-def cmd_obs_trace(args: argparse.Namespace) -> int:
-    from repro._util.rng import default_rng
-    from repro.obs.perf.chrometrace import write_chrome_trace
-    from repro.obs.perf.profiler import profiled, write_profile
-
-    switch = build_switch(args)
-    valid = default_rng(args.seed).random((args.trials, switch.n)) < 0.5
-    profile = None
-    with obs.collecting(max_trace_events=args.max_spans) as registry:
-        registry.detail_spans = True  # one engine.stage bar per layer
-        with obs.span("trace.run", switch=repr(switch), trials=args.trials):
-            if args.profile:
-                with profiled() as profile:
-                    switch.setup_batch(valid)
-            else:
-                switch.setup_batch(valid)
-    spans = registry.snapshot()["spans"]
-    path = write_chrome_trace(
-        spans, args.out, metadata={"switch": repr(switch), "trials": args.trials}
-    )
-    print(
-        f"chrome trace written to {path} ({len(spans['events'])} spans, "
-        f"{spans['dropped']} dropped) — load at https://ui.perfetto.dev"
-    )
-    if args.profile and profile is not None:
-        prof_path = write_profile(profile, args.profile, top=args.profile_top)
-        print(f"profile written to {prof_path}")
     return 0
 
 
@@ -77,7 +33,10 @@ def _write_or_print(text: str, out: str | None, what: str) -> None:
     if out:
         from pathlib import Path
 
-        Path(out).write_text(text + "\n", encoding="utf-8")
+        target = Path(out)
+        if target.is_dir():
+            raise ConfigurationError(f"{target} is a directory")
+        target.write_text(text + "\n", encoding="utf-8")
         print(f"{what} written to {out}")
     else:
         print(text)
@@ -85,27 +44,11 @@ def _write_or_print(text: str, out: str | None, what: str) -> None:
 
 def cmd_obs_export(args: argparse.Namespace) -> int:
     import json
-    from pathlib import Path
 
-    from repro.obs.live import prometheus_text, replay_journal
+    from repro.obs.live import replay_journal
 
-    if bool(args.metrics) == bool(args.journal):
-        raise ReproError("give exactly one of --metrics or --journal")
-    if args.metrics:
-        if not Path(args.metrics).exists():
-            raise ReproError(f"no metrics file at {args.metrics}")
-        snapshot = obs.read_metrics_json(args.metrics)
-    else:
-        snapshot = replay_journal(args.journal)
-    if args.format == "prometheus":
-        text = prometheus_text(snapshot)
-    else:
-        text = json.dumps(snapshot, indent=2) + "\n"
-    if args.out:
-        Path(args.out).write_text(text, encoding="utf-8")
-        print(f"exported to {args.out}")
-    else:
-        print(text, end="")
+    snapshot = replay_journal(args.journal)
+    _write_or_print(json.dumps(snapshot, indent=2), args.out, "snapshot")
     return 0
 
 
@@ -217,64 +160,19 @@ def register(sub: argparse._SubParsersAction) -> None:
         "trajectory reports",
     )
     add_flags(p, formats=TABLE_JSON)
-    p.add_argument(
-        "--demo",
-        action="store_true",
-        help="run a small instrumented simulation and print its snapshot",
-    )
     p.set_defaults(func=cmd_obs)
     obs_sub = p.add_subparsers(dest="obs_command")
 
     p = obs_sub.add_parser(
-        "trace",
-        help="run a switch geometry through the batch engine and export "
-        "the span timeline as Chrome-trace/Perfetto JSON",
-    )
-    add_geometry(
-        p, switch="columnsort", n=4096, m=3072,
-        positional="switch to trace (same as --switch)",
-    )
-    p.add_argument("--trials", type=int, default=128)
-    add_flags(p, seed=0)
-    p.add_argument("--out", required=True, help="Chrome-trace JSON path")
-    p.add_argument(
-        "--max-spans",
-        type=int,
-        default=50_000,
-        help="span buffer size (further spans are counted, not stored)",
-    )
-    p.add_argument(
-        "--profile",
-        default=None,
-        help="also cProfile the traced run: binary stats for .prof/.pstats "
-        "paths (flamegraph tools), a pstats table otherwise",
-    )
-    p.add_argument(
-        "--profile-top",
-        type=int,
-        default=30,
-        help="rows in the pstats table (text profiles only)",
-    )
-    p.set_defaults(func=cmd_obs_trace)
-
-    p = obs_sub.add_parser(
         "export",
-        help="render a metrics snapshot or a replayed event journal as "
-        "OpenMetrics/Prometheus text or JSON",
-    )
-    p.add_argument(
-        "--metrics",
-        default=None,
-        metavar="PATH",
-        help="a metrics.json written by --metrics-out",
+        help="replay an event journal into a metrics snapshot (JSON)",
     )
     p.add_argument(
         "--journal",
-        default=None,
+        required=True,
         metavar="PATH",
         help="a repro.obs/journal@1 JSONL to replay into a snapshot",
     )
-    add_flags(p, formats=("prometheus", "json"))
     p.add_argument("--out", default=None, help="write instead of printing")
     p.set_defaults(func=cmd_obs_export)
 

@@ -6,7 +6,7 @@ import argparse
 import contextlib
 import sys
 
-from repro.commands.common import METRICS_HELP, add_flags, emit
+from repro.commands.common import add_flags, emit
 from repro.commands.telemetry import telemetry_scope
 
 
@@ -132,11 +132,5 @@ def register(sub: argparse._SubParsersAction) -> None:
 
     p = sub.add_parser("reproduce", help="run the full reproduction report")
     p.add_argument("--output", default=None, help="also write a Markdown report here")
-    add_flags(
-        p,
-        metrics=True,
-        metrics_help=METRICS_HELP + " (with --output, also adds a Metrics "
-        "section to the report)",
-        telemetry=True,
-    )
+    add_flags(p, telemetry=True)
     p.set_defaults(func=cmd_reproduce)

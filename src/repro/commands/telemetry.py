@@ -1,6 +1,5 @@
-"""Live telemetry around a command: ``--metrics-out``, ``--journal``,
-``--live`` and ``--crash-dir`` (see the "Live telemetry" section of
-``docs/observability.md``)."""
+"""Live telemetry around a command: ``--journal`` and ``--crash-dir``
+(see the "Live telemetry" section of ``docs/observability.md``)."""
 
 from __future__ import annotations
 
@@ -100,65 +99,22 @@ def _crash_path(args: argparse.Namespace, command: str):
     return None
 
 
-def _install_sigusr1(tele: Telemetry):
-    """SIGUSR1 → snapshot event in the journal + OpenMetrics text on
-    stderr.  Returns the previous handler, or None when the platform
-    has no SIGUSR1 or we are not on the main thread."""
-    import signal
-    import threading
-
-    if not hasattr(signal, "SIGUSR1"):  # pragma: no cover - non-POSIX
-        return None
-    if threading.current_thread() is not threading.main_thread():
-        return None
-
-    from repro.obs.live import prometheus_text
-
-    def handler(signum, frame):
-        snapshot = tele.registry.snapshot()
-        tele.journal.emit(
-            "snapshot",
-            signal="SIGUSR1",
-            counters=snapshot["counters"],
-            gauges=snapshot["gauges"],
-        )
-        sys.stderr.write(prometheus_text(snapshot))
-        sys.stderr.flush()
-
-    return signal.signal(signal.SIGUSR1, handler)
-
-
-def _restore_sigusr1(previous) -> None:
-    import signal
-
-    if previous is not None and hasattr(signal, "SIGUSR1"):
-        signal.signal(signal.SIGUSR1, previous)
-
-
 @contextlib.contextmanager
 def telemetry_scope(args: argparse.Namespace):
     """Wire up collection around a command.
 
-    ``--metrics-out`` alone behaves as before: collect, write one JSON
-    snapshot on success.  Any of ``--journal`` / ``--live`` /
-    ``--crash-dir`` additionally activates the live pipeline: an
-    :class:`~repro.obs.live.EventJournal` fed by a delta-flush
+    ``--journal`` or ``--crash-dir`` activates the live pipeline: an
+    :class:`~repro.obs.live.EventJournal` (in memory without
+    ``--journal``) fed by a delta-flush
     :class:`~repro.obs.live.JournalSink` and the tracer's span sink, a
     :class:`~repro.obs.live.FlightRecorder` ring buffer (dumped to a
     crash report on unhandled exceptions — including a mid-flight
-    KeyboardInterrupt — and contract violations), a background
-    :class:`~repro.obs.live.ResourceSampler`, an optional
-    :class:`~repro.obs.live.LiveView`, and a SIGUSR1 snapshot handler.
-    Without any flag the null registry stays installed and a no-op
-    telemetry object is yielded.
+    KeyboardInterrupt — and contract violations), and a background
+    :class:`~repro.obs.live.ResourceSampler`.  Without either flag the
+    null registry stays installed and a no-op telemetry object is
+    yielded.
     """
-    metrics_out = getattr(args, "metrics_out", None)
-    live_on = bool(
-        getattr(args, "journal", None)
-        or getattr(args, "live", False)
-        or getattr(args, "crash_dir", None)
-    )
-    if not live_on and not metrics_out:
+    if not (getattr(args, "journal", None) or getattr(args, "crash_dir", None)):
         yield _NULL_TELEMETRY
         return
 
@@ -166,7 +122,6 @@ def telemetry_scope(args: argparse.Namespace):
         EventJournal,
         FlightRecorder,
         JournalSink,
-        LiveView,
         ResourceSampler,
     )
 
@@ -179,52 +134,41 @@ def telemetry_scope(args: argparse.Namespace):
         # tree back out of the journal.
         trace_id = getattr(args, "trace_id", None) or obs.new_trace_id(command)
         registry.tracer.context = obs.TraceContext(trace_id=trace_id)
-        # --metrics-out alone: no journal, but the command still sees
-        # the collecting registry (the reproduce report reads it).
-        tele = _NullTelemetry()
-        tele.registry = registry
-        if live_on:
-            journal = stack.enter_context(
-                EventJournal(getattr(args, "journal", None), command=command)
-            )
-            journal.emit("env", pid=os.getpid(), trace_id=trace_id, **obs.environment())
-            sink = JournalSink(registry, journal)
-            stack.callback(sink.close)
-            recorder = FlightRecorder()
-            journal.subscribe(recorder.record)
-            # Supervision events (worker_death / shard_timeout /
-            # pool_respawn / degraded) become journal frames, with the
-            # counter deltas they ticked flushed alongside, so retries
-            # are visible live and in replay — and the flight recorder
-            # (a journal subscriber) can name the fatal shard.
-            from repro.engine.backends.supervisor import (
-                add_event_sink,
-                remove_event_sink,
-            )
+        journal = stack.enter_context(
+            EventJournal(getattr(args, "journal", None), command=command)
+        )
+        journal.emit("env", pid=os.getpid(), trace_id=trace_id, **obs.environment())
+        sink = JournalSink(registry, journal)
+        stack.callback(sink.close)
+        recorder = FlightRecorder()
+        journal.subscribe(recorder.record)
+        # Supervision events (worker_death / shard_timeout /
+        # pool_respawn / degraded) become journal frames, with the
+        # counter deltas they ticked flushed alongside, so retries are
+        # visible live and in replay — and the flight recorder (a
+        # journal subscriber) can name the fatal shard.
+        from repro.engine.backends.supervisor import (
+            add_event_sink,
+            remove_event_sink,
+        )
 
-            def _supervision_frame(kind: str, **fields: object) -> None:
-                journal.emit(kind, **fields)
-                sink.flush()
+        def _supervision_frame(kind: str, **fields: object) -> None:
+            journal.emit(kind, **fields)
+            sink.flush()
 
-            add_event_sink(_supervision_frame)
-            stack.callback(remove_event_sink, _supervision_frame)
-            if getattr(args, "live", False):
-                view = LiveView()
-                journal.subscribe(view)
-                stack.callback(view.close)
-            tele = Telemetry(
-                registry=registry,
-                journal=journal,
-                sink=sink,
-                recorder=recorder,
-                command=command,
-                crash_path=_crash_path(args, command),
-            )
-            sampler = ResourceSampler(registry, journal)
-            sampler.start()
-            stack.callback(sampler.stop)
-            previous_handler = _install_sigusr1(tele)
-            stack.callback(_restore_sigusr1, previous_handler)
+        add_event_sink(_supervision_frame)
+        stack.callback(remove_event_sink, _supervision_frame)
+        tele = Telemetry(
+            registry=registry,
+            journal=journal,
+            sink=sink,
+            recorder=recorder,
+            command=command,
+            crash_path=_crash_path(args, command),
+        )
+        sampler = ResourceSampler(registry, journal)
+        sampler.start()
+        stack.callback(sampler.stop)
         try:
             yield tele
         except ConcentrationError as exc:
@@ -242,11 +186,3 @@ def telemetry_scope(args: argparse.Namespace):
         except BaseException as exc:
             tele.crash("unhandled-exception", exc=exc)
             raise
-    if metrics_out:
-        try:
-            path = obs.write_metrics_json(registry.snapshot(), metrics_out)
-        except OSError as exc:
-            raise ReproError(
-                f"cannot write metrics to {metrics_out}: {exc}"
-            ) from exc
-        print(f"metrics written to {path}")

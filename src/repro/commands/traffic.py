@@ -246,7 +246,7 @@ def _add_flows_workload_flags(p: argparse.ArgumentParser) -> None:
         "--slot-cycles", type=int, default=1,
         help="cycles the rotor holds each matching",
     )
-    add_flags(p, formats=TABLE_JSON, metrics=True, telemetry=True)
+    add_flags(p, formats=TABLE_JSON, telemetry=True)
 
 
 def register(sub: argparse._SubParsersAction) -> None:
@@ -260,14 +260,14 @@ def register(sub: argparse._SubParsersAction) -> None:
         choices=["drop", "buffer", "resend", "retry"],
         default="drop",
     )
-    add_flags(p, metrics=True, telemetry=True)
+    add_flags(p, telemetry=True)
     p.set_defaults(func=cmd_simulate)
 
     p = sub.add_parser("knockout", help="analytic vs simulated knockout loss")
     p.add_argument("--ports", type=int, default=16)
     p.add_argument("--load", type=float, default=0.9)
     p.add_argument("--slots", type=int, default=300)
-    add_flags(p, seed=0, metrics=True, telemetry=True)
+    add_flags(p, seed=0, telemetry=True)
     p.set_defaults(func=cmd_knockout)
 
     p = sub.add_parser(

@@ -359,7 +359,7 @@ def register(sub: argparse._SubParsersAction) -> None:
         help="additionally run a fault campaign per config and emit "
         "degradation certificates (see docs/robustness.md)",
     )
-    add_flags(p, metrics=True, telemetry=True)
+    add_flags(p, telemetry=True)
     p.set_defaults(func=cmd_certify)
 
     p = sub.add_parser(
@@ -378,7 +378,6 @@ def register(sub: argparse._SubParsersAction) -> None:
             "identical for any worker count",
         ),
         formats=TABLE_JSON,
-        metrics=True,
         telemetry=True,
     )
     p.set_defaults(func=cmd_compare)

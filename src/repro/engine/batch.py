@@ -14,11 +14,10 @@ design).
 from __future__ import annotations
 
 import sys
-from contextlib import nullcontext
 from dataclasses import dataclass, field
 from functools import cached_property
 from time import perf_counter
-from typing import Callable, NamedTuple
+from typing import NamedTuple
 
 import numpy as np
 
@@ -26,7 +25,6 @@ from repro import obs
 from repro.engine import plan as plan_mod
 from repro.engine.plan import ComparatorPlan, FixedPermutation, StagePlan
 from repro.errors import ConcentrationError, ConfigurationError
-from repro.obs.metrics import NULL_HISTOGRAM
 
 
 @dataclass(frozen=True)
@@ -234,33 +232,18 @@ def _compile_steps(plan: StagePlan) -> tuple[tuple, np.ndarray | None]:
 
 
 class _WalkTimers(NamedTuple):
-    span: Callable  # Registry.span, or a no-op of the same signature
     plan: object  # engine.run_plan.seconds histogram (or a null one)
     stage: object  # engine.stage.seconds histogram (or a null one)
 
 
-_NO_SPAN = nullcontext()
-
-
-def _no_span(name: str, /, **meta: object) -> nullcontext:
-    return _NO_SPAN
-
-
 def _walk_timers(reg) -> _WalkTimers:
-    """How one plan walk reports its time to ``reg``.
-
-    A registry with ``detail_spans`` gets one ``engine.run_plan`` span
-    per call and one ``engine.stage`` child per layer (the spans fill
-    their ``.seconds`` histograms themselves).  Any other registry gets
-    no spans, only one ``engine.run_plan.seconds`` observation per call
-    and one ``engine.stage.seconds`` observation per layer: a span
-    costs tens of microseconds with a journal attached, a histogram
-    observation about one.  The null registry's histograms discard.
-    """
-    if reg.detail_spans:
-        return _WalkTimers(reg.span, NULL_HISTOGRAM, NULL_HISTOGRAM)
+    """How one plan walk reports its time to ``reg``: one
+    ``engine.run_plan.seconds`` observation per call and one
+    ``engine.stage.seconds`` observation per layer.  The walkers open no
+    spans: a span costs tens of microseconds with a journal attached, a
+    histogram observation about one.  The null registry's histograms
+    discard."""
     return _WalkTimers(
-        _no_span,
         reg.histogram("engine.run_plan.seconds"),
         reg.histogram("engine.stage.seconds"),
     )
@@ -325,48 +308,38 @@ def _run_plan_sparse_flat(
     grp = np.zeros((batch, 0), dtype=bool)
     timers = _walk_timers(obs.get_registry())
     started = perf_counter()
-    with timers.span(
-        "engine.run_plan",
-        plan=str(plan.key), batch=batch, valid=int(flat_idx.size),
-    ):
-        for layer, (
-            entry, n_chips, width, rank_dt, word, mask, flat
-        ) in enumerate(steps):
-            with timers.span(
-                "engine.stage",
-                kind="chip", layer=layer, chips=n_chips, width=width,
-            ):
-                layer_started = perf_counter()
-                slots = n_chips * width
-                if grp.shape[1] != slots:
-                    grp = np.zeros((batch, slots), dtype=bool)
-                else:
-                    grp[:] = False
-                coord = entry[coord]  # this layer's chip-major slot
-                gf = flat_slots(slots)
-                grp.reshape(-1)[gf] = True
-                if word is not None:
-                    cs = _word_ranks(grp, n_chips, width, word)
-                else:
-                    cs = np.cumsum(grp.reshape(batch, n_chips, width), axis=2,
-                                   dtype=rank_dt)
-                rank = cs.reshape(-1)[gf]  # 1-based rank among chip's valid
-                del gf
-                # The chip's first slot, then rank − 1 on from it (coord
-                # is this layer's own gather, so it is updated in place).
-                if mask is not None:
-                    coord &= mask
-                else:
-                    coord //= np.int32(width)
-                    coord *= np.int32(width)
-                coord -= np.int32(1)
-                coord += rank
-                kill = None if stage_kills is None else stage_kills[layer]
-                if kill is not None:
-                    keep = ~kill[flat][coord]
-                    flat_idx, rows, coord = flat_idx[keep], rows[keep], coord[keep]
-                timers.stage.observe(perf_counter() - layer_started)
-        pos = coord if finish is None else finish[coord]
+    for layer, (entry, n_chips, width, rank_dt, word, mask, flat) in enumerate(steps):
+        layer_started = perf_counter()
+        slots = n_chips * width
+        if grp.shape[1] != slots:
+            grp = np.zeros((batch, slots), dtype=bool)
+        else:
+            grp[:] = False
+        coord = entry[coord]  # this layer's chip-major slot
+        gf = flat_slots(slots)
+        grp.reshape(-1)[gf] = True
+        if word is not None:
+            cs = _word_ranks(grp, n_chips, width, word)
+        else:
+            cs = np.cumsum(grp.reshape(batch, n_chips, width), axis=2,
+                           dtype=rank_dt)
+        rank = cs.reshape(-1)[gf]  # 1-based rank among chip's valid
+        del gf
+        # The chip's first slot, then rank − 1 on from it (coord is this
+        # layer's own gather, so it is updated in place).
+        if mask is not None:
+            coord &= mask
+        else:
+            coord //= np.int32(width)
+            coord *= np.int32(width)
+        coord -= np.int32(1)
+        coord += rank
+        kill = None if stage_kills is None else stage_kills[layer]
+        if kill is not None:
+            keep = ~kill[flat][coord]
+            flat_idx, rows, coord = flat_idx[keep], rows[keep], coord[keep]
+        timers.stage.observe(perf_counter() - layer_started)
+    pos = coord if finish is None else finish[coord]
     timers.plan.observe(perf_counter() - started)
     return flat_idx, rows, pos
 
@@ -399,8 +372,7 @@ def _walk_row(plan: StagePlan, row: np.ndarray) -> tuple[np.ndarray, np.ndarray]
     slot) offsets and no int32/int64 choice, which at one row cost more
     than the walk.  The ``engine.run_plan.seconds`` and
     ``engine.stage.seconds`` histograms get the batch walker's
-    observations, one per call and one per layer; a registry with
-    ``detail_spans`` takes the batch walker for its spans instead.
+    observations, one per call and one per layer.
     """
     steps, finish = _compile_steps(plan)
     reg = obs.get_registry()
@@ -450,7 +422,7 @@ def concentrate_plan_batch(
 
     A single row (``B == 1``, as a flow simulator's cycle sends) takes
     :func:`_walk_row`; every other batch the sparse batch walker."""
-    if valid.shape[0] == 1 and not obs.get_registry().detail_spans:
+    if valid.shape[0] == 1:
         inputs, pos = _walk_row(plan, valid[0])
         routing = np.full(valid.shape, -1, dtype=np.int32)
         routing[0, inputs] = np.where(pos < m, pos, np.int32(-1))
@@ -528,20 +500,16 @@ def run_comparator_plan(plan: ComparatorPlan, valid: np.ndarray) -> np.ndarray:
     wire_holds = np.broadcast_to(np.arange(n, dtype=np.int64), (batch, n)).copy()
     timers = _walk_timers(obs.get_registry())
     started = perf_counter()
-    with timers.span("engine.run_plan", plan=str(plan.key), batch=batch,
-                     valid=int(valid.sum())):
-        for layer, (hi, lo) in enumerate(plan.stages):
-            with timers.span("engine.stage", kind="comparator", layer=layer,
-                             comparators=int(hi.size)):
-                layer_started = perf_counter()
-                bhi, blo = bits[:, hi], bits[:, lo]
-                swap = bhi < blo
-                bits[:, hi] = np.where(swap, blo, bhi)
-                bits[:, lo] = np.where(swap, bhi, blo)
-                whi, wlo = wire_holds[:, hi], wire_holds[:, lo]
-                wire_holds[:, hi] = np.where(swap, wlo, whi)
-                wire_holds[:, lo] = np.where(swap, whi, wlo)
-                timers.stage.observe(perf_counter() - layer_started)
+    for hi, lo in plan.stages:
+        layer_started = perf_counter()
+        bhi, blo = bits[:, hi], bits[:, lo]
+        swap = bhi < blo
+        bits[:, hi] = np.where(swap, blo, bhi)
+        bits[:, lo] = np.where(swap, bhi, blo)
+        whi, wlo = wire_holds[:, hi], wire_holds[:, lo]
+        wire_holds[:, hi] = np.where(swap, wlo, whi)
+        wire_holds[:, lo] = np.where(swap, whi, wlo)
+        timers.stage.observe(perf_counter() - layer_started)
     timers.plan.observe(perf_counter() - started)
     position_of = np.empty((batch, n), dtype=np.int64)
     np.put_along_axis(

@@ -1,8 +1,8 @@
-"""repro.obs — unified tracing, metrics, and profiling.
+"""repro.obs — unified tracing and metrics.
 
 One process-wide, swappable :class:`Registry` of counters, gauges, and
 magnitude-bucket histograms; span-based structured tracing with nested
-``perf_counter`` timers; and JSON / Markdown exporters that plug into
+``perf_counter`` timers; and a Markdown exporter that plugs into
 :class:`repro.analysis.reporting.ReportBuilder`.
 
 Disabled by default: the installed registry is a no-op
@@ -13,19 +13,18 @@ produces byte-identical simulation results.  Enable collection with::
 
     with obs.collecting() as reg:
         summary = SwitchSimulation(switch, traffic).run(rounds=100)
-    obs.write_metrics_json(reg.snapshot(), "metrics.json")
+    print(obs.metrics_markdown(reg.snapshot()))
+
+A command's telemetry persists as one event journal (``--journal``,
+:mod:`repro.obs.live`); ``repro obs export --journal`` replays it to
+the same snapshot as JSON.
 
 See ``docs/observability.md`` for the metric catalog and span
 taxonomy, or run ``python -m repro obs``.
 """
 
 from repro.obs.catalog import CATALOG, MetricInfo, catalog_rows, metric_names
-from repro.obs.export import (
-    SCHEMA_VERSION,
-    metrics_markdown,
-    read_metrics_json,
-    write_metrics_json,
-)
+from repro.obs.export import metrics_markdown
 from repro.obs.metrics import Counter, Gauge, Histogram, bucket_key
 from repro.obs.registry import (
     NULL_REGISTRY,
@@ -60,7 +59,6 @@ __all__ = [
     "NullRegistry",
     "NullSeries",
     "Registry",
-    "SCHEMA_VERSION",
     "Series",
     "SpanRecord",
     "TraceContext",
@@ -82,12 +80,10 @@ __all__ = [
     "metric_names",
     "metrics_markdown",
     "new_trace_id",
-    "read_metrics_json",
     "run_metadata",
     "series",
     "span",
     "split_metric_key",
     "uninstall",
     "using",
-    "write_metrics_json",
 ]

@@ -66,15 +66,12 @@ CATALOG: tuple[MetricInfo, ...] = (
     MetricInfo("engine.degraded_fallbacks", "counter", (),
                "shards run in-process in the parent after exhausting "
                "their retry budget (graceful degradation)"),
-    MetricInfo("engine.run_plan", "span", (),
-               "one batched plan execution (meta: plan, batch, valid); "
-               "a span only under Registry.detail_spans, else one "
-               "engine.run_plan.seconds observation per call"),
-    MetricInfo("engine.stage", "span", (),
-               "one chip or comparator layer inside engine.run_plan "
-               "(meta: kind, layer, ...); a span only under "
-               "Registry.detail_spans, else one engine.stage.seconds "
-               "observation per layer"),
+    MetricInfo("engine.run_plan.seconds", "histogram", (),
+               "wall time of one plan walk (batched or one-row), one "
+               "observation per call"),
+    MetricInfo("engine.stage.seconds", "histogram", (),
+               "wall time of one chip or comparator layer inside a plan "
+               "walk, one observation per layer"),
     # network/simulate
     MetricInfo("sim.rounds", "counter", (),
                "simulation rounds executed by SwitchSimulation.run"),
@@ -191,8 +188,6 @@ CATALOG: tuple[MetricInfo, ...] = (
     # obs/perf (the performance observatory, see docs/performance.md)
     MetricInfo("bench.repeat", "span", (),
                "one timed repeat of a bench spec (meta: bench, repeat)"),
-    MetricInfo("trace.run", "span", (),
-               "the traced workload of 'repro obs trace' (meta: switch, trials)"),
     # obs/live (the live telemetry pipeline, see docs/observability.md)
     MetricInfo("proc.rss_kb", "gauge", (),
                "resident set size of the process, KiB (resource sampler)"),

@@ -1,67 +1,18 @@
-"""Snapshot exporters: JSON files and Markdown sections.
+"""Snapshot exporter: Markdown sections.
 
 A *snapshot* is the plain dict produced by
 :meth:`repro.obs.registry.Registry.snapshot` — five keys
 (``counters``, ``gauges``, ``histograms``, ``series``, ``spans``)
-holding only JSON-native values, so :func:`write_metrics_json` /
-:func:`read_metrics_json` round-trip it losslessly.
+holding only JSON-native values.  A command persists it as an event
+journal (``--journal``); ``repro obs export --journal`` replays that
+to the same snapshot as JSON.
 
-:func:`metrics_markdown` renders the same snapshot as GitHub-flavoured
+:func:`metrics_markdown` renders a snapshot as GitHub-flavoured
 Markdown tables; :meth:`repro.analysis.reporting.ReportBuilder
 .add_metrics` splices that into a report document.
 """
 
 from __future__ import annotations
-
-import json
-import math
-from pathlib import Path
-
-from repro.errors import ConfigurationError
-
-#: Snapshot schema version recorded in every metrics.json.
-SCHEMA_VERSION = 1
-
-
-def _jsonable(snapshot: dict) -> dict:
-    """Replace the infinities an empty histogram would carry (already
-    mapped to None by Histogram.as_dict, but be safe for hand-built
-    snapshots)."""
-
-    def fix(value):
-        if isinstance(value, float) and not math.isfinite(value):
-            return None
-        if isinstance(value, dict):
-            return {k: fix(v) for k, v in value.items()}
-        if isinstance(value, list):
-            return [fix(v) for v in value]
-        return value
-
-    return fix(snapshot)
-
-
-def write_metrics_json(snapshot: dict, path: str | Path) -> Path:
-    """Write one snapshot (plus schema/version header) to ``path``."""
-    target = Path(path)
-    if target.exists() and target.is_dir():
-        raise ConfigurationError(f"{target} is a directory")
-    document = {"schema": "repro.obs/metrics", "version": SCHEMA_VERSION}
-    document.update(_jsonable(snapshot))
-    target.write_text(json.dumps(document, indent=2) + "\n", encoding="utf-8")
-    return target
-
-
-def read_metrics_json(path: str | Path) -> dict:
-    """Read a metrics.json back into a snapshot dict (header checked
-    and stripped, so ``read(write(s)) == s`` for registry snapshots)."""
-    document = json.loads(Path(path).read_text(encoding="utf-8"))
-    if document.get("schema") != "repro.obs/metrics":
-        raise ConfigurationError(f"{path} is not a repro.obs metrics file")
-    return {
-        key: document[key]
-        for key in ("counters", "gauges", "histograms", "series", "spans")
-        if key in document
-    }
 
 
 def _fmt(value: float) -> str:

@@ -1,8 +1,8 @@
 """repro.obs.live — streaming telemetry for in-flight runs.
 
 Everything in :mod:`repro.obs` is post-hoc: metrics surface after a
-run exits cleanly.  This package adds the live layer the scale-out
-roadmap items need:
+run exits cleanly.  This package streams them while the run is in
+flight, into the one persisted telemetry artifact, the journal:
 
 * :mod:`.journal` — the schema-tagged append-only event journal
   (``repro.obs/journal@1`` JSONL) plus delta-flush sinks and exact
@@ -10,10 +10,8 @@ roadmap items need:
 * :mod:`.merge` — the cross-process aggregation protocol
   (``repro.obs/worker@1`` portable snapshots, deterministic merge);
 * :mod:`.resource` — the background RSS/CPU/GC sampler and heartbeats;
-* :mod:`.progress` — the ``--live`` terminal progress view;
 * :mod:`.flight` — the bounded flight recorder and
-  ``repro.obs/crash@1`` crash reports;
-* :mod:`.prometheus` — OpenMetrics-style text exposition.
+  ``repro.obs/crash@1`` crash reports.
 
 See the "Live telemetry" section of ``docs/observability.md``.
 """
@@ -37,8 +35,6 @@ from repro.obs.live.merge import (
     portable_snapshot,
     roundtrip,
 )
-from repro.obs.live.progress import LiveView
-from repro.obs.live.prometheus import prometheus_text
 from repro.obs.live.resource import ResourceSampler, sample_process
 
 __all__ = [
@@ -47,13 +43,11 @@ __all__ = [
     "FlightRecorder",
     "JOURNAL_SCHEMA",
     "JournalSink",
-    "LiveView",
     "ResourceSampler",
     "WORKER_SCHEMA",
     "failing_span",
     "merge_portable",
     "portable_snapshot",
-    "prometheus_text",
     "read_crash_report",
     "read_journal",
     "replay_journal",

@@ -24,7 +24,7 @@ Line format (``schema="repro.obs/journal@1"`` on the ``start`` line)::
 
 Frames reach the file in two classes.  *Boundary* frames (``start``,
 ``env``, ``phase``, ``progress``, ``heartbeat``, supervision events
-such as ``worker_death``, ``snapshot`` and ``end``) flush the file at
+such as ``worker_death``, and ``end``) flush the file at
 once, so a tail-reader sees every phase change and a killed run still
 names its last phase.  *Bulk* frames (``span`` and the metric frames
 ``counter``, ``gauge``, ``hist`` and ``series``) are only buffered:
@@ -46,9 +46,9 @@ the buffer is bounded, see :mod:`repro.obs.timeseries`).  Spans carry
 reconstructs the causal tree from.
 
 The journal is the event *bus* as well as the file: in-memory sinks
-(the flight recorder's ring buffer, the ``--live`` progress view)
-subscribe with :meth:`EventJournal.subscribe` and see every event,
-with or without a backing file.
+(the flight recorder's ring buffer) subscribe with
+:meth:`EventJournal.subscribe` and see every event, with or without a
+backing file.
 """
 
 from __future__ import annotations
@@ -67,10 +67,9 @@ from repro.obs.tracing import SpanRecord
 JOURNAL_SCHEMA = "repro.obs/journal@1"
 
 #: Spans journaled per run before further spans are counted, not
-#: written.  The engine's plan walkers only emit spans under a
-#: ``detail_spans`` registry (one ``engine.stage`` per chip layer per
-#: call, thousands in an n=4096 sweep), and no command may grow its
-#: journal without bound.
+#: written, so no command grows its journal without bound.  The
+#: engine's plan walkers, the hottest loop, observe histograms instead
+#: of opening spans.
 DEFAULT_SPAN_LIMIT = 10_000
 
 #: Frame types written without flushing the file; every other type is
@@ -82,8 +81,8 @@ class EventJournal:
     """Append-only event stream with optional JSONL persistence.
 
     ``path=None`` keeps the journal purely in-memory (events still
-    reach subscribed sinks) — what ``--live`` without ``--journal``
-    uses.  Thread-safe: the resource sampler emits heartbeats from its
+    reach subscribed sinks) — what ``--crash-dir`` without
+    ``--journal`` uses: the flight recorder still fills.  Thread-safe: the resource sampler emits heartbeats from its
     own thread.
     """
 

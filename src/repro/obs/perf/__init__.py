@@ -14,10 +14,10 @@ backed by numbers that are re-earned on every commit:
   ``BENCH_TRAJECTORY.jsonl`` record store, keyed by git SHA;
 * :mod:`repro.obs.perf.regression` — noise-aware baseline comparison
   (``repro bench compare``), exiting nonzero on regression for CI;
+* :mod:`repro.obs.perf.analyze` — the causal span tree, critical path
+  and worker utilization of a journal (``repro obs analyze``);
 * :mod:`repro.obs.perf.chrometrace` — span-timeline export to
-  Chrome-trace / Perfetto JSON (``repro obs trace``);
-* :mod:`repro.obs.perf.profiler` — cProfile/pstats hooks so a profile
-  of any switch geometry is one command;
+  Chrome-trace / Perfetto JSON (``repro obs analyze --trace-out``);
 * :mod:`repro.obs.perf.report` — the ``repro obs report`` trajectory
   dashboard (throughput trends, delay-in-gates vs the theoretical
   ``3 lg n`` / ``4 beta lg n`` lines).
@@ -28,7 +28,6 @@ record schema and CLI recipes.
 
 from repro.obs.perf.analyze import analysis_report, analyze_journal
 from repro.obs.perf.chrometrace import chrome_trace_document, write_chrome_trace
-from repro.obs.perf.profiler import profile_text, profiled, write_profile
 from repro.obs.perf.regression import Verdict, compare_records, has_regressions
 from repro.obs.perf.report import trajectory_report
 from repro.obs.perf.suite import (
@@ -62,8 +61,6 @@ __all__ = [
     "compare_records",
     "has_regressions",
     "latest_per_bench",
-    "profile_text",
-    "profiled",
     "read_trajectory",
     "run_bench",
     "split_latest",
@@ -71,5 +68,4 @@ __all__ = [
     "suite_specs",
     "trajectory_report",
     "write_chrome_trace",
-    "write_profile",
 ]

@@ -83,12 +83,6 @@ class Registry:
     scope."""
 
     enabled = True
-    #: Opt-in per-stage spans for hot loops.  Off, the engine's plan
-    #: walkers only observe the ``engine.run_plan.seconds`` (once per
-    #: call) and ``engine.stage.seconds`` (once per layer) histograms;
-    #: on, they also open one ``engine.run_plan`` span per call and one
-    #: ``engine.stage`` child per layer (what ``repro obs trace`` shows).
-    detail_spans = False
 
     def __init__(
         self,
@@ -224,7 +218,6 @@ class NullRegistry:
     """
 
     enabled = False
-    detail_spans = False
 
     def counter(self, name: str, /, **labels: object) -> NullCounter:
         return NULL_COUNTER
@@ -294,12 +287,10 @@ def uninstall() -> Registry | NullRegistry:
 
 
 @contextmanager
-def collecting(
-    registry: Registry | None = None, *, max_trace_events: int = 10_000
-) -> Iterator[Registry]:
+def collecting(registry: Registry | None = None) -> Iterator[Registry]:
     """Scope with a live registry installed; restores the previous
     registry (usually the null one) on exit."""
-    reg = registry if registry is not None else Registry(max_trace_events)
+    reg = registry if registry is not None else Registry()
     previous = install(reg)
     try:
         yield reg

@@ -95,8 +95,8 @@ def run_metadata(
     ``run_id`` names the run (a pytest node id for benches), ``seed``
     is the RNG seed that drove it, ``wall_s`` the measured wall time,
     ``registry`` the metrics collected during the run (span events are
-    summarised to a count — the full trace stays in metrics.json
-    exports, not in run records).
+    summarised to a count — the full trace stays in the event journal,
+    not in run records).
     """
     snapshot = registry.snapshot() if registry is not None else None
     if snapshot is not None:

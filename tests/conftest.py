@@ -27,6 +27,29 @@ def rng() -> np.random.Generator:
     return default_rng(0xC0FFEE)
 
 
+@pytest.fixture
+def live_registries(monkeypatch) -> list:
+    """Every registry ``obs.collecting`` opens during the test, in
+    order; the first one a CLI command opens is its telemetry scope's.
+    A journal's replay is compared with that registry's final
+    snapshot, the state the run ended in."""
+    import contextlib
+
+    from repro import obs
+
+    opened: list = []
+    collecting = obs.collecting
+
+    @contextlib.contextmanager
+    def capture(registry=None):
+        with collecting(registry) as reg:
+            opened.append(reg)
+            yield reg
+
+    monkeypatch.setattr(obs, "collecting", capture)
+    return opened
+
+
 def random_bits(rng: np.random.Generator, n: int, k: int | None = None) -> np.ndarray:
     """Random valid-bit vector; exactly k ones when k is given."""
     out = np.zeros(n, dtype=bool)

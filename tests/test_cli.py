@@ -139,9 +139,9 @@ class TestReproduceCommand:
         from repro.cli import build_parser
 
         args = build_parser().parse_args(
-            [command, "--journal", "j.jsonl", "--live", "--crash-dir", "c"]
+            [command, "--journal", "j.jsonl", "--crash-dir", "c"]
         )
-        assert (args.journal, args.live, args.crash_dir) == ("j.jsonl", True, "c")
+        assert (args.journal, args.crash_dir) == ("j.jsonl", "c")
 
 
 class TestObsCommand:
@@ -158,27 +158,23 @@ class TestObsCommand:
         rows = json.loads(capsys.readouterr().out)
         assert any(r["metric"] == "sim.lost" for r in rows)
 
-    def test_demo_prints_snapshot(self, capsys):
-        assert main(["obs", "--demo"]) == 0
-        out = capsys.readouterr().out
-        assert "`sim.delivered`" in out
-        assert "sim.round.seconds" in out
-
 
 class TestMetricsOut:
+    """A command's metrics persist as its ``--journal``, which replays
+    to the run's snapshot."""
+
     SIM_ARGS = [
         "simulate", "--switch", "revsort", "--n", "256", "--m", "192",
         "--load", "0.9", "--rounds", "10",
     ]
 
     def test_simulate_writes_snapshot(self, capsys, tmp_path):
-        import json
+        from repro.obs.live import JOURNAL_SCHEMA, read_journal, replay_journal
 
-        target = tmp_path / "metrics.json"
-        assert main(self.SIM_ARGS + ["--metrics-out", str(target)]) == 0
-        assert "metrics written to" in capsys.readouterr().out
-        doc = json.loads(target.read_text())
-        assert doc["schema"] == "repro.obs/metrics"
+        target = tmp_path / "run.jsonl"
+        assert main(self.SIM_ARGS + ["--journal", str(target)]) == 0
+        assert read_journal(target)[0]["schema"] == JOURNAL_SCHEMA
+        doc = replay_journal(target)
         assert doc["counters"]["sim.rounds"] == 10
         assert doc["counters"]["sim.delivered"] > 0
         assert doc["counters"]["sim.lost"] > 0  # overloaded: losses occur
@@ -190,41 +186,39 @@ class TestMetricsOut:
         simulation (same seed => same table)."""
         assert main(self.SIM_ARGS) == 0
         plain = capsys.readouterr().out
-        target = tmp_path / "metrics.json"
-        assert main(self.SIM_ARGS + ["--metrics-out", str(target)]) == 0
-        instrumented = capsys.readouterr().out
-        stripped = instrumented.replace(f"metrics written to {target}\n", "")
-        assert stripped == plain
+        target = tmp_path / "run.jsonl"
+        assert main(self.SIM_ARGS + ["--journal", str(target)]) == 0
+        assert capsys.readouterr().out == plain
 
     def test_positional_switch_form(self, capsys, tmp_path):
         """The documented short form `repro simulate revsort ...` works."""
-        import json
+        from repro.obs.live import replay_journal
 
-        target = tmp_path / "metrics.json"
+        target = tmp_path / "run.jsonl"
         code = main(
-            ["simulate", "revsort", "--n", "256", "--metrics-out", str(target)]
+            ["simulate", "revsort", "--n", "256", "--journal", str(target)]
         )
         assert code == 0
         assert "RevsortSwitch(n=256" in capsys.readouterr().out
-        doc = json.loads(target.read_text())
+        doc = replay_journal(target)
         assert doc["counters"]["sim.delivered"] > 0
 
     def test_obs_disabled_after_run(self, tmp_path):
         from repro import obs
 
-        main(self.SIM_ARGS + ["--metrics-out", str(tmp_path / "m.json")])
+        main(self.SIM_ARGS + ["--journal", str(tmp_path / "run.jsonl")])
         assert not obs.enabled()
 
     def test_knockout_writes_snapshot(self, capsys, tmp_path):
-        import json
+        from repro.obs.live import replay_journal
 
-        target = tmp_path / "metrics.json"
+        target = tmp_path / "run.jsonl"
         code = main(
             ["knockout", "--ports", "16", "--load", "0.9", "--slots", "50",
-             "--metrics-out", str(target)]
+             "--journal", str(target)]
         )
         assert code == 0
-        doc = json.loads(target.read_text())
+        doc = replay_journal(target)
         assert doc["counters"]["knockout.offered"] > 0
         assert doc["histograms"]["knockout.config.seconds"]["count"] == 4
 

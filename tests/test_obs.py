@@ -393,20 +393,37 @@ class TestExport:
             _run_simulation(rounds=4)
         return reg
 
-    def test_json_round_trip(self, tmp_path):
-        reg = self._collected()
-        snapshot = reg.snapshot()
-        path = obs.write_metrics_json(snapshot, tmp_path / "metrics.json")
-        back = obs.read_metrics_json(path)
-        assert back == json.loads(json.dumps(snapshot))
+    def test_json_round_trip(self, tmp_path, capsys):
+        """A journaled run, exported by ``repro obs export``, reads back
+        as the live registry's snapshot."""
+        from repro.cli import main
+        from repro.obs.live import EventJournal, JournalSink
+
+        journal = tmp_path / "run.jsonl"
+        with EventJournal(journal) as events, obs.collecting() as reg:
+            sink = JournalSink(reg, events)
+            _run_simulation(rounds=4)
+            sink.close()
+        path = tmp_path / "metrics.json"
+        assert main(["obs", "export", "--journal", str(journal),
+                     "--out", str(path)]) == 0
+        back = json.loads(path.read_text(encoding="utf-8"))
+        snapshot = json.loads(json.dumps(reg.snapshot()))
+        assert back["counters"] == snapshot["counters"]
+        assert back["gauges"] == snapshot["gauges"]
+        assert back["spans"] == snapshot["spans"]
+        for key, hist in snapshot["histograms"].items():
+            assert back["histograms"][key]["count"] == hist["count"]
 
     def test_rejects_foreign_json(self, tmp_path):
+        """The snapshot's one source, the journal, refuses other JSON."""
         from repro.errors import ConfigurationError
+        from repro.obs.live import replay_journal
 
         target = tmp_path / "x.json"
         target.write_text("{}")
         with pytest.raises(ConfigurationError):
-            obs.read_metrics_json(target)
+            replay_journal(target)
 
     def test_markdown_render(self):
         reg = self._collected()

@@ -1,5 +1,5 @@
 """Live telemetry pipeline: journal, merge protocol, sampler, flight
-recorder, live view, Prometheus exposition, and the CLI wiring.
+recorder, and the CLI wiring.
 
 The heart of the suite is **replay parity**: the journal's delta-flush
 metric events must reduce to exactly the live registry's final totals,
@@ -13,10 +13,7 @@ nothing here sleeps.
 from __future__ import annotations
 
 import json
-import os
-import signal
 import threading
-from io import StringIO
 from pathlib import Path
 
 import pytest
@@ -30,12 +27,10 @@ from repro.obs.live import (
     EventJournal,
     FlightRecorder,
     JournalSink,
-    LiveView,
     ResourceSampler,
     failing_span,
     merge_portable,
     portable_snapshot,
-    prometheus_text,
     read_crash_report,
     read_journal,
     replay_journal,
@@ -582,98 +577,6 @@ class TestFlightRecorder:
         assert exit_code_for(RuntimeError("x")) == 70
 
 
-class TestLiveView:
-    def _view(self, **kwargs):
-        stream = StringIO()
-        clock = FakeClock()
-        view = LiveView(stream, clock=clock, force=True, **kwargs)
-        return view, stream, clock
-
-    def test_disabled_without_tty(self):
-        view = LiveView(StringIO())
-        view.update("phase", 1, 2)
-        assert view.enabled is False
-
-    def test_renders_rate_and_eta(self):
-        view, stream, clock = self._view()
-        view.update("certify", 0, 100)
-        clock.tick(2.0)
-        view.update("certify", 20, 100)
-        text = stream.getvalue()
-        assert "[certify]" in text
-        assert "20/100" in text
-        assert "10.0/s" in text  # 20 done in 2s
-        assert "eta 8s" in text  # 80 left at 10/s
-        assert "(20%)" in text
-
-    def test_rate_limited_rendering(self):
-        view, stream, clock = self._view(min_interval=1.0)
-        view.update("p", 0, 10)
-        before = stream.getvalue()
-        clock.tick(0.2)
-        view.update("p", 1, 10)  # suppressed: same phase, too soon
-        assert stream.getvalue() == before
-        clock.tick(1.0)
-        view.update("p", 2, 10)
-        assert stream.getvalue() != before
-
-    def test_journal_sink_dispatch(self):
-        view, stream, clock = self._view()
-        view({"type": "phase", "name": "sweep", "total": 3})
-        clock.tick(1.0)
-        view({"type": "progress", "phase": "sweep", "done": 2, "total": 3})
-        assert "[sweep]" in stream.getvalue()
-        assert "2/3" in stream.getvalue()
-        view({"type": "counter", "key": "x", "delta": 1})  # ignored
-
-    def test_note_and_close(self):
-        view, stream, clock = self._view()
-        view.update("p", 1, 2)
-        view.note("hello")
-        view.close()
-        assert "hello\n" in stream.getvalue()
-
-    def test_eta_formatting(self):
-        from repro.obs.live.progress import _fmt_eta
-
-        assert _fmt_eta(5) == "5s"
-        assert _fmt_eta(65) == "1m05s"
-        assert _fmt_eta(3700) == "1h01m"
-
-
-class TestPrometheusText:
-    def test_families_types_and_labels(self):
-        snapshot = {
-            "counters": {"sim.rounds": 4, "sim.delivered{policy=drop}": 2},
-            "gauges": {"proc.rss_kb": 1024},
-            "histograms": {
-                "serial.transit_cycles": {
-                    "count": 2, "sum": 20.0, "min": 4, "max": 16,
-                    "buckets": {"2^2": 1, "2^4": 1},
-                }
-            },
-        }
-        text = prometheus_text(snapshot)
-        assert "# TYPE repro_sim_rounds counter" in text
-        assert "repro_sim_rounds_total 4" in text
-        assert 'repro_sim_delivered_total{policy="drop"} 2' in text
-        assert "# TYPE repro_proc_rss_kb gauge" in text
-        assert "repro_proc_rss_kb 1024" in text
-        assert "# TYPE repro_serial_transit_cycles histogram" in text
-        assert 'repro_serial_transit_cycles_bucket{bucket="2^2"} 1' in text
-        assert "repro_serial_transit_cycles_count 2" in text
-        assert "repro_serial_transit_cycles_sum 20" in text
-        # HELP lines come from the catalog
-        assert "# HELP repro_proc_rss_kb" in text
-
-    def test_label_values_escaped(self):
-        text = prometheus_text({"counters": {'x{k=a"b}': 1}})
-        assert 'repro_x_total{k="a\\"b"} 1' in text
-
-    def test_empty_snapshot(self):
-        assert prometheus_text({}) == ""
-
-
 class TestChromeTraceGolden:
     GOLDEN = GOLDEN_DIR / "chrometrace_deterministic.json"
 
@@ -701,15 +604,16 @@ class TestCLITelemetry:
 
         return main(argv)
 
-    def test_certify_journal_replays_to_live_totals(self, tmp_path, capsys):
+    def test_certify_journal_replays_to_live_totals(
+        self, tmp_path, capsys, live_registries
+    ):
         journal = tmp_path / "run.jsonl"
-        metrics = tmp_path / "metrics.json"
         code = self._main(
             ["certify", "revsort", "--n", "16", "--m", "12",
-             "--journal", str(journal), "--metrics-out", str(metrics)]
+             "--journal", str(journal)]
         )
         assert code == 0
-        snapshot = obs.read_metrics_json(metrics)
+        snapshot = live_registries[0].snapshot()
         replayed = replay_journal(journal)
         assert replayed["counters"] == snapshot["counters"]
         events = read_journal(journal)
@@ -718,16 +622,17 @@ class TestCLITelemetry:
                 "counter", "span", "end"} <= kinds
         assert events[0]["command"] == "certify"
 
-    def test_compare_journal_includes_worker_metrics(self, tmp_path, capsys):
+    def test_compare_journal_includes_worker_metrics(
+        self, tmp_path, capsys, live_registries
+    ):
         journal = tmp_path / "run.jsonl"
-        metrics = tmp_path / "metrics.json"
         code = self._main(
             ["compare", "--switch", "revsort", "--n", "64", "--m", "48",
              "--trials", "4", "--workers", "2",
-             "--journal", str(journal), "--metrics-out", str(metrics)]
+             "--journal", str(journal)]
         )
         assert code == 0
-        snapshot = obs.read_metrics_json(metrics)
+        snapshot = live_registries[0].snapshot()
         replayed = replay_journal(journal)
         # worker-process metrics included, exactly
         assert replayed["counters"] == snapshot["counters"]
@@ -783,57 +688,41 @@ class TestCLITelemetry:
         assert doc["reason"] == "contract-violation"
         assert doc["exception"]["exit_code"] == 1
 
-    def test_sigusr1_emits_snapshot(self, tmp_path, capfd, monkeypatch):
-        if not hasattr(signal, "SIGUSR1"):  # pragma: no cover
-            pytest.skip("no SIGUSR1 on this platform")
-        import repro.verify
-
-        real = repro.verify.certify_design
-
-        def poked(design, params, options=None, workers=1):
-            os.kill(os.getpid(), signal.SIGUSR1)
-            return real(design, params, options=options)
-
-        monkeypatch.setattr(repro.verify, "certify_design", poked)
+    def test_obs_export_json_from_journal(self, tmp_path, capsys):
         journal = tmp_path / "run.jsonl"
-        code = self._main(
-            ["certify", "revsort", "--n", "16", "--m", "12",
-             "--journal", str(journal)]
-        )
-        assert code == 0
-        snapshots = [
-            e for e in read_journal(journal) if e["type"] == "snapshot"
-        ]
-        assert snapshots and snapshots[0]["signal"] == "SIGUSR1"
-        err = capfd.readouterr().err
-        assert "# TYPE repro_obs_heartbeats counter" in err
-
-    def test_obs_export_prometheus_from_journal(self, tmp_path, capsys):
-        journal = tmp_path / "run.jsonl"
-        deterministic_run(journal)
-        code = self._main(
-            ["obs", "export", "--journal", str(journal),
-             "--format", "prometheus"]
-        )
-        assert code == 0
-        out = capsys.readouterr().out
-        assert "repro_sim_rounds_total 5" in out
-        assert 'repro_proc_rss_kb{worker="w0"} 640' in out
-
-    def test_obs_export_json_from_metrics(self, tmp_path, capsys):
-        registry, _ = deterministic_run(None)
-        metrics = tmp_path / "metrics.json"
-        obs.write_metrics_json(registry.snapshot(), metrics)
-        code = self._main(
-            ["obs", "export", "--metrics", str(metrics), "--format", "json"]
-        )
+        registry, _ = deterministic_run(journal)
+        code = self._main(["obs", "export", "--journal", str(journal)])
         assert code == 0
         document = json.loads(capsys.readouterr().out)
+        assert document["counters"] == registry.snapshot()["counters"]
         assert document["counters"]["sim.rounds"] == 5
+        assert document["gauges"]["proc.rss_kb{worker=w0}"] == 640
 
     def test_obs_export_requires_exactly_one_source(self, capsys):
-        assert self._main(["obs", "export"]) == 2
+        # The journal is the one source: argparse rejects its absence.
+        with pytest.raises(SystemExit) as exited:
+            self._main(["obs", "export"])
+        assert exited.value.code == 2
         assert "error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("subcommand", ["export", "report", "analyze"])
+    def test_obs_out_directory_is_a_usage_error(self, subcommand, tmp_path,
+                                                capsys):
+        journal = tmp_path / "run.jsonl"
+        deterministic_run(journal)
+        trajectory = tmp_path / "traj.jsonl"
+        trajectory.write_text(json.dumps({
+            "schema": "repro.obs/bench", "version": 1, "bench": "engine.demo",
+            "median_wall_s": 0.1, "wall_s": [0.1],
+        }) + "\n")
+        argv = {
+            "export": ["obs", "export", "--journal", str(journal)],
+            "report": ["obs", "report", "--trajectory", str(trajectory)],
+            "analyze": ["obs", "analyze", str(journal)],
+        }[subcommand]
+        code = self._main([*argv, "--out", str(tmp_path)])
+        assert code == 2
+        assert f"error: {tmp_path} is a directory" in capsys.readouterr().err
 
     def test_bench_compare_regression_output_and_crash(self, tmp_path,
                                                        capsys):
@@ -877,25 +766,20 @@ class TestCLITelemetry:
         assert verdict["ratio"] == pytest.approx(4.0)
         assert verdict["delta_pct"] == pytest.approx(300.0)
 
-    def test_knockout_journal_replays_to_metrics_out(self, tmp_path, capsys):
+    def test_knockout_journal_replays_to_metrics_out(
+        self, tmp_path, capsys, live_registries
+    ):
         journal = tmp_path / "k.jsonl"
-        metrics = tmp_path / "k.json"
         code = self._main(
             ["knockout", "--ports", "8", "--slots", "30",
-             "--journal", str(journal), "--metrics-out", str(metrics)]
+             "--journal", str(journal)]
         )
         assert code == 0
-        snapshot = obs.read_metrics_json(metrics)
+        snapshot = live_registries[0].snapshot()
         replayed = replay_journal(journal)
         assert replayed["counters"] == snapshot["counters"]
         assert any(k.startswith("knockout.") for k in replayed["counters"])
         assert read_journal(journal)[0]["command"] == "knockout"
-
-    def test_live_flag_is_harmless_without_tty(self, tmp_path, capsys):
-        code = self._main(
-            ["certify", "revsort", "--n", "16", "--m", "12", "--live"]
-        )
-        assert code == 0
 
 
 class TestJournalTax:

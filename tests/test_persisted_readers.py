@@ -269,7 +269,7 @@ CLI_READERS = {
     ),
     "journal-export": (
         _CLEAN_JOURNAL.read_bytes, "j.jsonl",
-        lambda path: ["obs", "export", "--journal", path, "--format", "json"],
+        lambda path: ["obs", "export", "--journal", path],
     ),
     "trajectory-compare": (
         _clean_trajectory, "t.jsonl",

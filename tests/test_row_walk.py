@@ -118,20 +118,17 @@ def test_one_row_takes_the_row_walk(monkeypatch, rng):
 
 def test_one_row_observes_the_walk_histograms(rng):
     """One ``engine.run_plan.seconds`` observation per call and one
-    ``engine.stage.seconds`` per chip layer, as the batch walker makes;
-    with ``detail_spans`` the spans come from the batch walker."""
+    ``engine.stage.seconds`` per chip layer, as the batch walker makes,
+    and no spans."""
     switch = ColumnsortSwitch(16, 4, 48)
     plan = plan_of(switch)
     layers = len(_compile_steps(plan)[0])
     row = rng.random((1, 64)) < 0.5
-    for detail in (False, True):
-        with obs.collecting() as registry:
-            registry.detail_spans = detail
-            for _ in range(3):
-                switch.setup_batch(row)
-        snapshot = registry.snapshot()
-        hists = snapshot["histograms"]
-        assert hists["engine.run_plan.seconds"]["count"] == 3
-        assert hists["engine.stage.seconds"]["count"] == 3 * layers
-        spans = [e["name"] for e in snapshot["spans"]["events"]]
-        assert spans.count("engine.stage") == (3 * layers if detail else 0)
+    with obs.collecting() as registry:
+        for _ in range(3):
+            switch.setup_batch(row)
+    snapshot = registry.snapshot()
+    hists = snapshot["histograms"]
+    assert hists["engine.run_plan.seconds"]["count"] == 3
+    assert hists["engine.stage.seconds"]["count"] == 3 * layers
+    assert snapshot["spans"]["events"] == []

@@ -290,14 +290,16 @@ class TestFanOutChaos:
     ):
         from repro.cli import main
 
-        metrics = tmp_path / "metrics.json"
-        argv = self.COMPARE + ["--metrics-out", str(metrics)]
+        from repro.obs.live import replay_journal
+
+        journal = tmp_path / "run.jsonl"
+        argv = self.COMPARE + ["--journal", str(journal)]
         assert main(argv) == 0
         clean = capsys.readouterr().out
         self._kill_once(tmp_path, monkeypatch)
         assert main(argv) == 0
         assert capsys.readouterr().out == clean
-        counters = json.loads(metrics.read_text())["counters"]
+        counters = replay_journal(journal)["counters"]
         assert counters.get("engine.shard_retries", 0) >= 1
 
     def test_worker_kill_mid_sweep_is_byte_identical(self, tmp_path, monkeypatch):

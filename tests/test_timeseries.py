@@ -19,7 +19,6 @@ import pytest
 
 from repro import obs
 from repro.errors import ConfigurationError
-from repro.obs.export import read_metrics_json, write_metrics_json
 from repro.obs.live import (
     EventJournal,
     JournalSink,
@@ -221,11 +220,16 @@ class TestJournalSeries:
         assert len(frames) == 2
         assert frames[-1]["count"] == 2
 
-    def test_metrics_json_roundtrips_series(self, tmp_path):
-        registry, _ = deterministic_flows_run(None)
+    def test_metrics_json_roundtrips_series(self, tmp_path, capsys):
+        """``repro obs export`` writes the replayed series as JSON."""
+        from repro.cli import main
+
+        journal = tmp_path / "flows.jsonl"
+        registry, _ = deterministic_flows_run(journal)
         path = tmp_path / "metrics.json"
-        write_metrics_json(registry.snapshot(), path)
-        loaded = read_metrics_json(path)
+        assert main(["obs", "export", "--journal", str(journal),
+                     "--out", str(path)]) == 0
+        loaded = json.loads(path.read_text(encoding="utf-8"))
         assert loaded["series"] == registry.snapshot()["series"]
 
 
@@ -272,19 +276,19 @@ class TestFlowsInstrumentation:
 
 
 class TestFlowsRunJournalCLI:
-    """Satellite: a ``repro flows run --journal`` session replays to
-    the exact ``--metrics-out`` snapshot, series frames included."""
+    """A ``repro flows run --journal`` session replays to the live
+    registry's exact final snapshot, series frames included."""
 
-    def test_journal_replays_to_metrics_snapshot(self, tmp_path, capsys):
+    def test_journal_replays_to_metrics_snapshot(
+        self, tmp_path, capsys, live_registries
+    ):
         from repro.cli import main
 
         journal = tmp_path / "flows.jsonl"
-        metrics = tmp_path / "metrics.json"
         code = main(
             ["flows", "run", "--fabric", "knockout", "--n", "16",
              "--load", "0.6", "--duration", "30", "--seed", "1",
-             "--journal", str(journal), "--metrics-out", str(metrics),
-             "--format", "json"]
+             "--journal", str(journal), "--format", "json"]
         )
         assert code == 0
         capsys.readouterr()
@@ -296,7 +300,7 @@ class TestFlowsRunJournalCLI:
             f["key"].startswith("flows.queue_depth") for f in frames
         )
         replayed = replay_journal(journal)
-        snapshot = read_metrics_json(metrics)
+        snapshot = live_registries[0].snapshot()
         assert replayed["series"] == snapshot["series"]
         assert replayed["counters"] == snapshot["counters"]
 
